@@ -11,6 +11,7 @@ lives in :class:`SmoothingDebouncer` so the micro-batched serving engine
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -86,6 +87,9 @@ class SmoothingDebouncer:
         self.window = window
         self.hold_frames = hold_frames
         self._votes: deque[int] = deque(maxlen=window)
+        # Running sum of the votes in the window, so the majority test is
+        # O(1) per update instead of a mean over the deque.
+        self._ones = 0
         self._state = 0
         self._pending_state: int | None = None
         self._pending_count = 0
@@ -98,14 +102,21 @@ class SmoothingDebouncer:
     def reset(self) -> None:
         """Forget all votes and return to the empty state."""
         self._votes.clear()
+        self._ones = 0
         self._state = 0
         self._pending_state = None
         self._pending_count = 0
 
     def update(self, raw: int) -> int | None:
         """Consume one raw vote; returns the new state when a flip commits."""
-        self._votes.append(int(raw))
-        smoothed = int(np.mean(self._votes) >= 0.5)
+        vote = int(raw)
+        votes = self._votes
+        if len(votes) == self.window:
+            self._ones -= votes[0]
+        votes.append(vote)
+        self._ones += vote
+        # mean >= 0.5, in exact integer arithmetic (ties round to occupied).
+        smoothed = int(2 * self._ones >= len(votes))
 
         if smoothed == self._state:
             self._pending_state = None
@@ -138,6 +149,11 @@ def check_csi_row(csi_row: np.ndarray, row_index: int | None = None) -> np.ndarr
     csi_row = np.asarray(csi_row, dtype=float)
     if csi_row.ndim != 1:
         raise ShapeError(f"expected a 1-D CSI row, got shape {csi_row.shape}")
+    if math.isfinite(csi_row.sum()):
+        # A finite sum means every value is finite.  A non-finite sum may
+        # still come from a finite row that overflows (numpy warns about
+        # that, and about +inf meeting -inf), so the mask decides.
+        return csi_row
     finite = np.isfinite(csi_row)
     if not finite.all():
         column = int(np.flatnonzero(~finite)[0])

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import enum
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from ..overload.governor import SaturationGovernor, ServiceMode
 from ..overload.limiter import RateLimiter
 from ..serve.config import ServeConfig
 from ..serve.engine import InferenceResult
-from ..serve.metrics import MetricsRegistry
+from ..serve.metrics import Counter, MetricsRegistry
 from ..serve.robustness import LinkHealth
 from ..serve.types import FrameTicket
 from .fusion import FusionScheduler, TenantBatch
@@ -94,7 +95,11 @@ class TenantLifecycle(enum.Enum):
 class _TenantState:
     """Everything one tenant owns besides its registered plan."""
 
-    def __init__(self, config: ServeConfig, metrics: MetricsRegistry, observer) -> None:
+    def __init__(
+        self, tenant_id: str, config: ServeConfig, metrics: MetricsRegistry, observer
+    ) -> None:
+        self.tenant_id = tenant_id
+        self.metrics = metrics
         self.lifecycle = TenantLifecycle.ATTACHED
         self.debouncer = SmoothingDebouncer(config.window, config.hold_frames)
         self.health = LinkHealth.IDLE
@@ -134,6 +139,17 @@ class _TenantState:
             "deadline_expired": self.deadline_expired,
             "overload_shed": self.overload_shed,
         }
+
+    # The tenant's labeled counters, looked up by name on first use only
+    # (so each still enters the registry when it first fires).
+
+    @cached_property
+    def frames_total(self) -> Counter:
+        return self.metrics.counter(f"fleet_frames_total{{tenant={self.tenant_id}}}")
+
+    @cached_property
+    def frames_out_total(self) -> Counter:
+        return self.metrics.counter(f"fleet_frames_out_total{{tenant={self.tenant_id}}}")
 
 
 class Fleet:
@@ -241,7 +257,9 @@ class Fleet:
             self._observer_factory() if self._observer_factory is not None else NULL_OBSERVER
         )
         observer.bind_registry(self.metrics)
-        self._tenants[tenant_id] = _TenantState(self.config, self.metrics, observer)
+        self._tenants[tenant_id] = _TenantState(
+            tenant_id, self.config, self.metrics, observer
+        )
         self._detached.pop(tenant_id, None)
         if observer.enabled:
             observer.emit(
@@ -502,6 +520,17 @@ class Fleet:
         """Unbind and return the tenant's rollout manager (None when absent)."""
         return self._rollouts.pop(tenant_id, None)
 
+    # Fleet-wide counters of the per-frame paths, looked up by name on
+    # first use only.
+
+    @cached_property
+    def _frames_in(self) -> Counter:
+        return self.metrics.counter("fleet_frames_in")
+
+    @cached_property
+    def _transitions(self) -> Counter:
+        return self.metrics.counter("fleet_transitions")
+
     def _tenant(self, tenant_id: str) -> _TenantState:
         state = self._tenants.get(tenant_id)
         if state is None:
@@ -588,8 +617,8 @@ class Fleet:
                     )
                 return FrameTicket(tenant_id, frame_id, t_f, "quarantined")
         state.frames_in += 1
-        self.metrics.counter("fleet_frames_in").inc()
-        self.metrics.counter(f"fleet_frames_total{{tenant={tenant_id}}}").inc()
+        self._frames_in.inc()
+        state.frames_total.inc()
         self._now_s = max(self._now_s, t_f)
 
         pending = [
@@ -840,12 +869,24 @@ class Fleet:
     ) -> list[InferenceResult]:
         obs = state.observer
         tracing = obs.enabled
-        out_counter = self.metrics.counter(f"fleet_frames_out_total{{tenant={tenant_id}}}")
+        state.frames_out += len(frames)
+        state.frames_out_total.inc(len(frames))
+        # Batch-level work once, as in the engine's emit loop: one float
+        # conversion and one health resolution per distinct health.
+        resolved: dict[LinkHealth, tuple[LinkHealth, bool]] = {}
+        health = step = None
+        debouncer = state.debouncer
         results: list[InferenceResult] = []
-        for frame, p in zip(frames, probabilities):
-            state.frames_out += 1
-            out_counter.inc()
-            new_health, recovered = state.supervisor.resolve_health(state.health, "primary")
+        append = results.append
+        for frame, p in zip(frames, probabilities.tolist()):
+            if state.health is not health:
+                health = state.health
+                step = resolved.get(health)
+                if step is None:
+                    step = resolved[health] = state.supervisor.resolve_health(
+                        health, "primary"
+                    )
+            state.health, recovered = step
             if recovered:
                 self.metrics.counter("fleet_tenant_recovered_total").inc()
                 if tracing:
@@ -855,22 +896,21 @@ class Fleet:
                         frame_id=frame.frame_id,
                         link_id=tenant_id,
                     )
-            state.health = new_health
-            flipped = state.debouncer.update(int(p >= 0.5))
+            flipped = debouncer.update(p >= 0.5)
             transition = None
             if flipped is not None:
                 transition = Transition(frame.t_s, bool(flipped))
-                self.metrics.counter("fleet_transitions").inc()
-            results.append(
+                self._transitions.inc()
+            append(
                 InferenceResult(
-                    link_id=tenant_id,
-                    t_s=frame.t_s,
-                    probability=float(p),
-                    state=state.debouncer.state,
-                    transition=transition,
-                    source="primary",
-                    repaired=frame.repaired,
-                    frame_id=frame.frame_id,
+                    tenant_id,
+                    frame.t_s,
+                    p,
+                    debouncer.state,
+                    transition,
+                    "primary",
+                    frame.repaired,
+                    frame.frame_id,
                 )
             )
             if tracing:

@@ -20,8 +20,9 @@ behaves exactly as it did before this subsystem existed.
 
 This module must not import :mod:`repro.serve` at module level — the
 engine imports the guard package, and an eager import back the other way
-would be a cycle.  The one place the supervisor needs ``LinkHealth`` it
-imports lazily inside the method.
+would be a cycle.  The supervisor needs ``LinkHealth`` for
+:meth:`resolve_health`, so it imports it lazily once, at construction,
+when both packages are fully loaded — not on the per-batch call.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ class RecoverySupervisor:
         self.drift_action = drift_action
         self.registry = registry
         self.observer = observer
+        from ..serve.robustness import LinkHealth  # lazy: avoid guard<->serve cycle
+
+        self._healthy = LinkHealth.HEALTHY
+        self._degraded = LinkHealth.DEGRADED
 
     def bind_registry(self, registry) -> None:
         """Adopt the engine's metrics registry unless one was given."""
@@ -213,12 +218,9 @@ class RecoverySupervisor:
         flowing but at reduced fidelity, and claiming recovery on a prior
         would defeat the metric's meaning.
         """
-        from ..serve.robustness import LinkHealth  # lazy: avoid guard<->serve cycle
-
         if source != "primary":
-            return LinkHealth.DEGRADED, False
-        recovered = health is LinkHealth.DEGRADED
-        return LinkHealth.HEALTHY, recovered
+            return self._degraded, False
+        return self._healthy, health is self._degraded
 
     def snapshot(self) -> dict:
         """JSON-friendly diagnostic state for reports and tests."""

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,7 @@ from ..overload.limiter import RateLimiter
 from .adaptive import AdaptiveBatcher
 from .arena import FrameArena
 from .config import ServeConfig
-from .metrics import MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import MicroBatchQueue, PendingFrame
 from .robustness import FallbackPredictor, LinkHealth, PriorFallback
 from .types import FrameTicket
@@ -110,9 +111,14 @@ from .types import FrameTicket
 _UNSET = object()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceResult:
-    """One completed frame: probability, smoothed state, optional event."""
+    """One completed frame: probability, smoothed state, optional event.
+
+    One is built per answered frame; slots make that cheaper and smaller
+    than a per-instance ``__dict__`` without changing fields, equality,
+    hash or repr.
+    """
 
     link_id: str
     t_s: float
@@ -404,10 +410,11 @@ class InferenceEngine:
     # ---------------------------------------------------------------- links
 
     def _link(self, link_id: str) -> _LinkState:
-        if link_id not in self._links:
-            self._links[link_id] = _LinkState(self.window, self.hold_frames)
+        link = self._links.get(link_id)
+        if link is None:
+            link = self._links[link_id] = _LinkState(self.window, self.hold_frames)
             self.registry.gauge("links").set(len(self._links))
-        return self._links[link_id]
+        return link
 
     @property
     def link_ids(self) -> tuple[str, ...]:
@@ -531,20 +538,23 @@ class InferenceEngine:
                     )
                 return frame_id, "quarantined", []
         link.frames_in += 1
-        self.registry.counter("frames_in").inc()
+        self._frames_in.inc()
         self._now_s = max(self._now_s, t_f)
         if self._batcher is not None:
             self._batcher.observe(t_f)
             self._apply_batch_decision(t_f)
 
+        # Positional: keyword binding would double the construction cost.
+        # Fields: link_id, t_s, csi, repaired, frame_id, deadline_s, slot.
         pending = [
             PendingFrame(
                 link_id,
                 t_f,
                 csi_row,
-                frame_id=frame_id,
-                deadline_s=deadline_for(t_f, self.deadline_s),
-                slot=slot,
+                False,
+                frame_id,
+                deadline_for(t_f, self.deadline_s),
+                slot,
             )
         ]
         if self.repairer is not None:
@@ -600,8 +610,10 @@ class InferenceEngine:
                     frame.frame_id, "enqueue", 1000.0 * (time.perf_counter() - t0)
                 )
                 obs.tracer.mark_enqueued(frame.frame_id)
-        self.registry.gauge("queue_depth").set(self.queue.depth)
-        self.registry.histogram("queue_depth_dist").observe(self.queue.depth)
+        # The gauge is bound here, where the registry first saw it, and
+        # set once the call's flushes are done: one write per call.
+        queue_depth = self._queue_depth
+        self._queue_depth_dist.observe(self.queue.depth)
         self._sync_arena_metrics()
 
         results: list[InferenceResult] = []
@@ -609,7 +621,44 @@ class InferenceEngine:
             while self.queue.ready(self._now_s):
                 results.extend(self._run_batch(self.queue.drain()))
             self._apply_pending_swap()
+        queue_depth.set(self.queue.depth)
         return frame_id, "enqueued", results
+
+    # Registry handles of the per-frame and per-batch paths.  Each is
+    # looked up by name on first use only, so a metric still enters the
+    # registry (and as_dict()/the exposition order) when it first fires.
+
+    @cached_property
+    def _frames_in(self) -> Counter:
+        return self.registry.counter("frames_in")
+
+    @cached_property
+    def _queue_depth(self) -> Gauge:
+        return self.registry.gauge("queue_depth")
+
+    @cached_property
+    def _queue_depth_dist(self) -> Histogram:
+        return self.registry.histogram("queue_depth_dist")
+
+    @cached_property
+    def _batches(self) -> Counter:
+        return self.registry.counter("batches")
+
+    @cached_property
+    def _batch_size(self) -> Histogram:
+        return self.registry.histogram("batch_size")
+
+    @cached_property
+    def _batch_latency_ms(self) -> Histogram:
+        return self.registry.histogram("batch_latency_ms")
+
+    @cached_property
+    def _frames_out(self) -> Counter:
+        return self.registry.counter("frames_out")
+
+    @cached_property
+    def _transitions(self) -> Counter:
+        return self.registry.counter("transitions")
 
     # ----------------------------------------------------- arena / adaptive
 
@@ -937,7 +986,7 @@ class InferenceEngine:
             )
         frames = self._drop_expired(frames)
         frames = self._drop_stale(frames)
-        self.registry.gauge("queue_depth").set(self.queue.depth)
+        self._queue_depth.set(self.queue.depth)
         if not frames:
             return []
         if mode is ServiceMode.SHED:
@@ -970,12 +1019,14 @@ class InferenceEngine:
                 f"{source} predictor returned {probabilities.shape[0]} probabilities "
                 f"for a batch of {len(frames)}"
             )
-        self.registry.counter("batches").inc()
-        self.registry.histogram("batch_size").observe(len(frames))
-        self.registry.histogram("batch_latency_ms").observe(latency_ms)
-        self.registry.counter("frames_out").inc(len(frames))
-        if source == "fallback":
-            self.registry.counter("fallback_frames").inc(len(frames))
+        n = len(frames)
+        self._batches.inc()
+        self._batch_size.observe(n)
+        self._batch_latency_ms.observe(latency_ms)
+        self._frames_out.inc(n)
+        fallback = source == "fallback"
+        if fallback:
+            self.registry.counter("fallback_frames").inc(n)
         if tracing:
             # Every frame in the batch really did wait out the whole
             # predict call, so each gets the full batch latency.
@@ -984,15 +1035,29 @@ class InferenceEngine:
             obs.emit("batch.flush", t_s=self._now_s, n=len(frames), source=source)
             emit_t0 = time.perf_counter()
 
+        # Batch-level work once: one conversion to Python floats and one
+        # health resolution per distinct link health (the source is fixed
+        # for the batch).  The loop below is O(1) per frame; its ``p >=
+        # 0.5`` on the converted float equals numpy's, since 0.5 is exact.
+        health_source = "primary" if source == "fastpath" else source
+        resolved: dict[LinkHealth, tuple[LinkHealth, bool]] = {}
+        health = step = None
+        links = self._links
         results: list[InferenceResult] = []
-        for frame, p in zip(frames, probabilities):
-            link = self._link(frame.link_id)
+        append = results.append
+        for frame, p in zip(frames, probabilities.tolist()):
+            link = links[frame.link_id]
             link.frames_out += 1
-            if source == "fallback":
+            if fallback:
                 link.fallback_frames += 1
-            new_health, recovered = self.supervisor.resolve_health(
-                link.health, "primary" if source == "fastpath" else source
-            )
+            if link.health is not health:
+                health = link.health
+                step = resolved.get(health)
+                if step is None:
+                    step = resolved[health] = self.supervisor.resolve_health(
+                        health, health_source
+                    )
+            link.health, recovered = step
             if recovered:
                 self.registry.counter("link_recovered_total").inc()
                 if tracing:
@@ -1002,22 +1067,22 @@ class InferenceEngine:
                         frame_id=frame.frame_id,
                         link_id=frame.link_id,
                     )
-            link.health = new_health
-            flipped = link.debouncer.update(int(p >= 0.5))
+            debouncer = link.debouncer
+            flipped = debouncer.update(p >= 0.5)
             transition = None
             if flipped is not None:
                 transition = Transition(frame.t_s, bool(flipped))
-                self.registry.counter("transitions").inc()
-            results.append(
+                self._transitions.inc()
+            append(
                 InferenceResult(
-                    link_id=frame.link_id,
-                    t_s=frame.t_s,
-                    probability=float(p),
-                    state=link.debouncer.state,
-                    transition=transition,
-                    source=source,
-                    repaired=frame.repaired,
-                    frame_id=frame.frame_id,
+                    frame.link_id,
+                    frame.t_s,
+                    p,
+                    debouncer.state,
+                    transition,
+                    source,
+                    frame.repaired,
+                    frame.frame_id,
                 )
             )
             if tracing:
@@ -1032,7 +1097,7 @@ class InferenceEngine:
         if tracing:
             # The emit loop is one pass over the batch; attribute each
             # frame its share so per-stage sums stay comparable.
-            emit_ms = 1000.0 * (time.perf_counter() - emit_t0) / len(frames)
+            emit_ms = 1000.0 * (time.perf_counter() - emit_t0) / n
             for frame in frames:
                 obs.tracer.add_stage(frame.frame_id, "emit", emit_ms)
         if self._rollout is not None:

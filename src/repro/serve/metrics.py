@@ -123,12 +123,16 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
 
     def _get_or_create(self, table: dict, name: str, factory):
+        metric = table.get(name)
+        if metric is not None:
+            # A name lives in at most one kind table, so a hit needs no
+            # cross-kind scan.
+            return metric
         for other in (self._counters, self._gauges, self._histograms):
             if other is not table and name in other:
                 raise ConfigurationError(f"metric {name!r} already registered as another kind")
-        if name not in table:
-            table[name] = factory()
-        return table[name]
+        metric = table[name] = factory()
+        return metric
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(self._counters, name, Counter)

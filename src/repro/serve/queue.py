@@ -30,9 +30,14 @@ import numpy as np
 from ..exceptions import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PendingFrame:
-    """One enqueued observation awaiting inference."""
+    """One enqueued observation awaiting inference.
+
+    One is built per admitted frame, so it is a slotted plain dataclass:
+    nothing hashes or mutates it, and a frozen ``__init__`` would cost
+    several times as much on the hot path.
+    """
 
     link_id: str
     t_s: float

@@ -1,7 +1,11 @@
 """Tests for the streaming inference interface."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import TrainingConfig
 from repro.core.detector import OccupancyDetector
@@ -141,6 +145,156 @@ class TestSmoothingDebouncer:
         debouncer.reset()
         assert debouncer.state == 0
         assert debouncer.update(1) == 1
+
+
+class MeanDebouncer:
+    """Reference copy of the debouncer that takes ``np.mean`` of its window.
+
+    The shipped :class:`SmoothingDebouncer` keeps a running sum instead;
+    the property test below drives both with the same votes.
+    """
+
+    def __init__(self, window: int, hold_frames: int) -> None:
+        self.hold_frames = hold_frames
+        self._votes: deque[int] = deque(maxlen=window)
+        self.state = 0
+        self._pending_state: int | None = None
+        self._pending_count = 0
+
+    def reset(self) -> None:
+        self._votes.clear()
+        self.state = 0
+        self._pending_state = None
+        self._pending_count = 0
+
+    def update(self, raw: int) -> int | None:
+        self._votes.append(int(raw))
+        smoothed = int(np.mean(self._votes) >= 0.5)
+        if smoothed == self.state:
+            self._pending_state = None
+            self._pending_count = 0
+            return None
+        if smoothed != self._pending_state:
+            self._pending_state = smoothed
+            self._pending_count = 1
+        else:
+            self._pending_count += 1
+        if self._pending_count >= self.hold_frames:
+            self.state = smoothed
+            self._pending_state = None
+            self._pending_count = 0
+            return smoothed
+        return None
+
+
+#: A vote stream: 0/1 votes with an occasional ``None`` meaning reset().
+_VOTE_STREAMS = st.lists(
+    st.one_of(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), st.none()),
+    max_size=80,
+)
+
+
+class TestDebouncerEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(1, 8), hold=st.integers(1, 5), stream=_VOTE_STREAMS)
+    def test_running_sum_matches_the_mean_of_the_window(self, window, hold, stream):
+        fast = SmoothingDebouncer(window, hold)
+        reference = MeanDebouncer(window, hold)
+        for step, vote in enumerate(stream):
+            if vote is None:
+                fast.reset()
+                reference.reset()
+            else:
+                assert fast.update(vote) == reference.update(vote), step
+            assert fast.state == reference.state, step
+
+    @pytest.mark.parametrize("window", [2, 4, 6, 8])
+    def test_even_window_ties_round_to_occupied_after_eviction(self, window):
+        # Fill the window with zeros, then push ones until exactly half the
+        # (evicting) window votes occupied: that tie must count as 1.
+        fast = SmoothingDebouncer(window, hold_frames=1)
+        reference = MeanDebouncer(window, hold_frames=1)
+        for vote in [0] * (2 * window) + [1] * (window // 2):
+            assert fast.update(vote) == reference.update(vote)
+        assert fast.state == reference.state == 1
+
+
+def _reference_check(row, row_index=None):
+    """check_csi_row as it was before the finite-sum fast path."""
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1:
+        raise ShapeError(f"expected a 1-D CSI row, got shape {row.shape}")
+    finite = np.isfinite(row)
+    if not finite.all():
+        column = int(np.flatnonzero(~finite)[0])
+        where = f"row {row_index}, " if row_index is not None else ""
+        raise ValidationError(
+            f"CSI frame ({where}column {column}) contains a non-finite value "
+            f"({row[column]})",
+            row_index=row_index,
+            column=column,
+        )
+    return row
+
+
+def _outcome(check, row):
+    try:
+        return "ok", check(row, row_index=7).tolist()
+    except (ShapeError, ValidationError) as error:
+        return type(error).__name__, str(error), getattr(error, "column", None)
+
+
+class TestCheckCsiRowFastPath:
+    # A sum that overflows, or +inf meeting -inf, makes numpy warn; the
+    # warnings are beside the point here.
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    def test_finite_row_whose_sum_overflows_is_accepted_unchanged(self):
+        row = np.array([1e308, 1e308])
+        assert not np.isfinite(row.sum())
+        checked = check_csi_row(row)
+        assert checked.dtype == float
+        assert checked.tolist() == [1e308, 1e308]
+
+    @pytest.mark.parametrize(
+        "row", [[1.0, np.inf, -np.inf, 2.0], [1.0, -np.inf, np.inf, np.nan]]
+    )
+    def test_opposite_infinities_still_name_the_first_bad_column(self, row):
+        with pytest.raises(ValidationError) as excinfo:
+            check_csi_row(row, row_index=3)
+        assert excinfo.value.column == 1
+        assert excinfo.value.row_index == 3
+        assert str(excinfo.value).startswith("CSI frame (row 3, column 1)")
+
+    def test_nan_row_keeps_its_typed_error_and_message(self):
+        with pytest.raises(ValidationError) as excinfo:
+            check_csi_row([0.5, 1.5, np.nan, np.nan])
+        assert excinfo.value.column == 2
+        assert str(excinfo.value) == (
+            "CSI frame (column 2) contains a non-finite value (nan)"
+        )
+
+    @pytest.mark.parametrize("row", [np.ones((2, 3)), np.float64(1.0), np.ones((1, 1, 4))])
+    def test_wrong_ndim_keeps_its_typed_error_and_message(self, row):
+        with pytest.raises(ShapeError) as excinfo:
+            check_csi_row(row)
+        assert str(excinfo.value) == (
+            f"expected a 1-D CSI row, got shape {np.shape(row)}"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([1e308, -1e308, np.inf, -np.inf, np.nan]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_the_mask_only_check(self, values):
+        row = np.array(values, dtype=float)
+        assert _outcome(check_csi_row, row) == _outcome(_reference_check, row)
 
 
 class TestStreamEdgeCases:
