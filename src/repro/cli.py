@@ -277,7 +277,7 @@ def cmd_perf_bench(args: argparse.Namespace) -> int:
         return 1
     if not report.saturated_ok:
         print("perf-bench: saturated arm failed frame-ledger "
-              "reconciliation (or leaked arena slots)", file=sys.stderr)
+              "reconciliation", file=sys.stderr)
         return 1
     return 0
 

@@ -112,14 +112,12 @@ class SaturatedLoad:
     sojourn_p50_ms: float
     sojourn_p99_ms: float
     wall_fps: float
-    batch_resizes: int
     ledger_unaccounted: int
-    arena_in_use_after: int
 
     @property
     def ok(self) -> bool:
-        """Exact frame accounting and a fully recycled arena."""
-        return self.ledger_unaccounted == 0 and self.arena_in_use_after == 0
+        """Exact frame accounting: no frame left unaccounted."""
+        return self.ledger_unaccounted == 0
 
 
 @dataclass(frozen=True)
@@ -323,9 +321,7 @@ class PerfBenchReport:
                             "p99": row.sojourn_p99_ms,
                         },
                         "wall_fps": row.wall_fps,
-                        "batch_resizes": row.batch_resizes,
                         "ledger_unaccounted": row.ledger_unaccounted,
-                        "arena_in_use_after": row.arena_in_use_after,
                         "ok": row.ok,
                     }
                     for row in self.saturated
@@ -462,7 +458,7 @@ def _saturated_arm(
     """Open-loop saturation sweep through the full serving engine.
 
     Each load replays ``n_frames`` stream-time arrivals at
-    ``ratio * capacity_fps`` into an adaptive, arena-backed engine with
+    ``ratio * capacity_fps`` into a fixed-batch engine with
     ``auto_flush=False``, and services the queue with stream-time pump
     budgets of exactly ``capacity_fps`` — so queueing dynamics (and
     therefore sojourn latency and drop counts) are functions of the
@@ -478,11 +474,8 @@ def _saturated_arm(
 
     config = ServeConfig(
         max_batch=64,
-        min_batch=4,
         max_latency_ms=20.0,
         queue_capacity=256,
-        arena_slots=512,
-        adaptive_batching=True,
         deadline_ms=200.0,
         auto_flush=False,
     )
@@ -537,7 +530,6 @@ def _saturated_arm(
             - sum(dropped.values())
             - engine.queue.depth
         )
-        engine.arena.check()
         sojourn_arr = np.asarray(sojourn) if sojourn else np.zeros(1)
         out.append(
             SaturatedLoad(
@@ -549,11 +541,7 @@ def _saturated_arm(
                 sojourn_p50_ms=1e3 * float(np.percentile(sojourn_arr, 50)),
                 sojourn_p99_ms=1e3 * float(np.percentile(sojourn_arr, 99)),
                 wall_fps=answered / wall if wall > 0 else float("inf"),
-                batch_resizes=int(
-                    engine.registry.counter("batch_resizes_total").value
-                ),
                 ledger_unaccounted=int(unaccounted),
-                arena_in_use_after=engine.arena.in_use,
             )
         )
     return out

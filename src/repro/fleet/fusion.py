@@ -67,9 +67,9 @@ class TiledPlanRunner:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """P(occupied) per row, shape (n,), batch-shape-independent."""
-        # asarray, not ascontiguousarray: a float32 arena-slab view passes
-        # through zero-copy — the per-tile staging copy below absorbs any
-        # striding, so forcing contiguity up front would only duplicate it.
+        # asarray, not ascontiguousarray: the per-tile staging copy below
+        # absorbs any striding, so forcing contiguity up front would only
+        # duplicate it.
         x = np.asarray(x, dtype=np.float32)
         if x.ndim == 1:
             x = x[None, :]

@@ -54,7 +54,6 @@ EVENT_KINDS = frozenset(
         # -- batch-level --
         "batch.flush",           # a micro-batch ran (size + serving source)
         "batch.rejected",        # a whole batch shed by the supervisor
-        "serve.batch_resize",    # the adaptive batcher re-sized the flush triggers
         # -- guard transitions --
         "breaker.opened",
         "breaker.closed",

@@ -22,8 +22,6 @@ per-stage spans and structured events.  The default is the no-op
 on ``observer.enabled``, so an untraced engine does no timing work.
 """
 
-from .adaptive import AdaptiveBatcher
-from .arena import FrameArena, SlotRef
 from .bench import ServeBenchReport, run_serve_bench
 from .config import ServeConfig
 from .engine import InferenceEngine, InferenceResult
@@ -44,9 +42,6 @@ from .robustness import (
 )
 
 __all__ = [
-    "AdaptiveBatcher",
-    "FrameArena",
-    "SlotRef",
     "InferenceEngine",
     "InferenceResult",
     "ServeConfig",

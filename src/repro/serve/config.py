@@ -58,23 +58,6 @@ class ServeConfig:
     max_batch: int = 32
     max_latency_ms: float | None = 250.0
     queue_capacity: int = 256
-    #: Lower bound of the batch-size decision when ``adaptive_batching``
-    #: is on (and a validation anchor even when it is off): the config
-    #: contract is ``min_batch <= max_batch <= queue_capacity``.
-    min_batch: int = 1
-    #: ``True`` replaces the fixed ``max_batch`` tick with the
-    #: arrival-rate-driven :class:`~repro.serve.adaptive.AdaptiveBatcher`:
-    #: an EWMA inter-arrival estimate picks batch size and flush deadline
-    #: between ``min_batch``/``max_batch``, yields to the overload
-    #: governor while the ladder is escalated, and records every applied
-    #: change as a ``serve.batch_resize`` event.
-    adaptive_batching: bool = False
-    #: Slot count of the zero-copy :class:`~repro.serve.arena.FrameArena`
-    #: backing in-flight frames; ``None`` keeps the legacy owned-array
-    #: path.  Size it to ``queue_capacity + max_batch`` to cover the
-    #: worst in-flight population — exhaustion falls back per frame (and
-    #: is counted), never fails.
-    arena_slots: int | None = None
     # --- smoothing / staleness ---
     window: int = 5
     hold_frames: int = 3
@@ -116,28 +99,12 @@ class ServeConfig:
     auto_flush: bool = True
 
     def __post_init__(self) -> None:
-        # The batching triple is one contract, checked as one:
-        # min_batch <= max_batch <= queue_capacity, each violation named
-        # after the field that broke it.
-        if self.min_batch < 1:
-            raise ConfigurationError(
-                f"min_batch must be >= 1, got {self.min_batch}"
-            )
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if self.min_batch > self.max_batch:
-            raise ConfigurationError(
-                f"min_batch ({self.min_batch}) must be <= max_batch "
-                f"({self.max_batch})"
-            )
         if self.queue_capacity < self.max_batch:
             raise ConfigurationError(
                 f"max_batch ({self.max_batch}) must be <= queue_capacity "
                 f"({self.queue_capacity}); queue_capacity must be >= max_batch"
-            )
-        if self.arena_slots is not None and self.arena_slots < 1:
-            raise ConfigurationError(
-                f"arena_slots must be >= 1 (or None), got {self.arena_slots}"
             )
         if self.max_latency_ms is not None and self.max_latency_ms <= 0:
             raise ConfigurationError("max_latency_ms must be positive (or None)")

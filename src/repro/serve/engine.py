@@ -97,8 +97,6 @@ from ..obs.observer import NULL_OBSERVER
 from ..overload.deadline import deadline_for, expired
 from ..overload.governor import SaturationGovernor, ServiceMode
 from ..overload.limiter import RateLimiter
-from .adaptive import AdaptiveBatcher
-from .arena import FrameArena
 from .config import ServeConfig
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import MicroBatchQueue, PendingFrame
@@ -339,26 +337,6 @@ class InferenceEngine:
         # Optional frozen fastpath plan the governor's FASTPATH_ONLY mode
         # prefers (attach via attach_fastpath; health-wise it is primary).
         self._fastpath = None
-        # Zero-copy frame arena: created lazily at the first admitted
-        # frame (the row width is unknown until then).  None arena_slots
-        # keeps the legacy owned-array admission path.
-        self._arena_slots = config.arena_slots
-        self.arena: FrameArena | None = None
-        # Adaptive batching: max_batch in the config is the *ceiling* the
-        # batch ring is sized to; the batcher moves queue.max_batch and
-        # the flush deadline underneath it, never above.
-        self._batch_ceiling = config.max_batch
-        self._batcher = (
-            AdaptiveBatcher(
-                config.min_batch,
-                config.max_batch,
-                None
-                if config.max_latency_ms is None
-                else config.max_latency_ms / 1000.0,
-            )
-            if config.adaptive_batching
-            else None
-        )
 
     # ------------------------------------------------------------- hot swap
 
@@ -479,30 +457,18 @@ class InferenceEngine:
         t_f = float(t_s)
         if tracing:
             obs.frame_submitted(frame_id, link_id, t_f)
-        slot = None
-        if self._arena_slots is not None:
-            staged = self._stage_row(csi_row)
-            if staged is None:
-                link.rejected += 1
-                self.registry.counter("frames_rejected").inc()
-                if tracing:
-                    obs.frame_outcome("rejected", frame_id, link_id, t_f, gate="shape")
-                return frame_id, "rejected", []
-            csi_row, slot = staged
-        else:
-            try:
-                csi_row = check_csi_row(csi_row)
-            except (ShapeError, StreamError):
-                link.rejected += 1
-                self.registry.counter("frames_rejected").inc()
-                if tracing:
-                    obs.frame_outcome("rejected", frame_id, link_id, t_f, gate="shape")
-                return frame_id, "rejected", []
+        try:
+            csi_row = check_csi_row(csi_row)
+        except (ShapeError, StreamError):
+            link.rejected += 1
+            self.registry.counter("frames_rejected").inc()
+            if tracing:
+                obs.frame_outcome("rejected", frame_id, link_id, t_f, gate="shape")
+            return frame_id, "rejected", []
         if self.limiter is not None and not self.limiter.admit(link_id, t_f):
             # After the shape gate (malformed frames must not spend
             # tokens), before the validator (an over-rate tenant must not
             # burn validator CPU either).
-            self._release_ref(slot)
             link.rate_limited += 1
             self.registry.counter("frames_rate_limited").inc()
             if tracing:
@@ -525,10 +491,6 @@ class InferenceEngine:
             if failure is not None:
                 link.quarantined += 1
                 self.registry.counter("frames_quarantined").inc()
-                if slot is not None:
-                    # The pen outlives the slot: park an owned copy.
-                    csi_row = csi_row.copy()
-                    self._release_ref(slot)
                 self.quarantine.add(
                     QuarantinedFrame(link_id, t_f, csi_row, failure)
                 )
@@ -540,12 +502,9 @@ class InferenceEngine:
         link.frames_in += 1
         self._frames_in.inc()
         self._now_s = max(self._now_s, t_f)
-        if self._batcher is not None:
-            self._batcher.observe(t_f)
-            self._apply_batch_decision(t_f)
 
         # Positional: keyword binding would double the construction cost.
-        # Fields: link_id, t_s, csi, repaired, frame_id, deadline_s, slot.
+        # Fields: link_id, t_s, csi, repaired, frame_id, deadline_s.
         pending = [
             PendingFrame(
                 link_id,
@@ -554,7 +513,6 @@ class InferenceEngine:
                 False,
                 frame_id,
                 deadline_for(t_f, self.deadline_s),
-                slot,
             )
         ]
         if self.repairer is not None:
@@ -572,22 +530,14 @@ class InferenceEngine:
                 for fill in fills:
                     fill_id = self._frame_seq
                     self._frame_seq += 1
-                    fill_row, fill_slot = fill.row, None
-                    if self.arena is not None:
-                        fill_slot = self.arena.acquire(fill.row)
-                        if fill_slot is not None:
-                            fill_row = self.arena.slab[fill_slot.slot]
-                        else:
-                            self.registry.counter("arena_fallback_total").inc()
                     filled.append(
                         PendingFrame(
                             link_id,
                             fill.t_s,
-                            fill_row,
+                            fill.row,
                             repaired=True,
                             frame_id=fill_id,
                             deadline_s=deadline_for(fill.t_s, self.deadline_s),
-                            slot=fill_slot,
                         )
                     )
                     if tracing:
@@ -598,7 +548,6 @@ class InferenceEngine:
                 t0 = time.perf_counter()
             evicted = self.queue.push(frame)
             if evicted is not None:
-                self._release_frame(evicted)
                 self._link(evicted.link_id).overflow += 1
                 self.registry.counter("frames_dropped_overflow").inc()
                 if tracing:
@@ -614,7 +563,6 @@ class InferenceEngine:
         # set once the call's flushes are done: one write per call.
         queue_depth = self._queue_depth
         self._queue_depth_dist.observe(self.queue.depth)
-        self._sync_arena_metrics()
 
         results: list[InferenceResult] = []
         if self._auto_flush:
@@ -659,92 +607,6 @@ class InferenceEngine:
     @cached_property
     def _transitions(self) -> Counter:
         return self.registry.counter("transitions")
-
-    # ----------------------------------------------------- arena / adaptive
-
-    def _stage_row(self, csi_row) -> tuple[np.ndarray, object | None] | None:
-        """Arena admission: one copy into a slab slot, gated on the view.
-
-        Returns ``(row, slot_ref)`` — ``slot_ref`` is ``None`` when the
-        frame fell back to the legacy owned-array path (ring exhausted,
-        unexpected width, exotic dtype) — or ``None`` for a malformed
-        frame the shape/finite gate refuses.  Note the float32 slab means
-        values beyond float32 range overflow to ``inf`` and are refused
-        at the finite gate; CSI amplitudes live many orders of magnitude
-        below that.
-        """
-        arr = np.asarray(csi_row)
-        if arr.ndim != 1:
-            return None
-        if arr.dtype.kind not in "fiub":
-            # Exotic dtypes keep the legacy gate's cast-or-reject
-            # semantics; the arena only stages plain numeric rows.
-            return self._stage_fallback(arr)
-        arena = self.arena
-        if arena is None:
-            arena = self.arena = FrameArena(self._arena_slots, arr.shape[0])
-            self.registry.gauge("arena_slots").set(arena.n_slots)
-        ref = arena.acquire(arr) if arr.shape[0] == arena.width else None
-        if ref is None:
-            return self._stage_fallback(arr)
-        view = arena.slab[ref.slot]
-        if not np.isfinite(view).all():
-            arena.release(ref)
-            return None
-        return view, ref
-
-    def _stage_fallback(self, arr) -> tuple[np.ndarray, None] | None:
-        """The owned-array path for frames the arena cannot stage."""
-        try:
-            row = check_csi_row(arr)
-        except (ShapeError, StreamError):
-            return None
-        self.registry.counter("arena_fallback_total").inc()
-        return row, None
-
-    def _release_ref(self, ref) -> None:
-        if ref is not None:
-            self.arena.release(ref)
-
-    def _release_frame(self, frame: PendingFrame) -> None:
-        """Recycle a frame's slab slot the moment its outcome is terminal."""
-        if frame.slot is not None:
-            self.arena.release(frame.slot)
-
-    def _sync_arena_metrics(self) -> None:
-        arena = self.arena
-        if arena is not None:
-            self.registry.gauge("arena_in_use").set(arena.in_use)
-            self.registry.gauge("arena_acquired_total").set(arena.acquired_total)
-            self.registry.gauge("arena_released_total").set(arena.released_total)
-
-    def _apply_batch_decision(self, t_s: float) -> None:
-        """Point the queue's flush triggers at the batcher's decision.
-
-        The flush deadline tracks the rate estimate continuously (and
-        silently); a batch-*size* change is the discrete, observable
-        decision — counted and recorded as a closed-taxonomy
-        ``serve.batch_resize`` event so a same-seed replay reproduces the
-        full decision sequence byte-identically.
-        """
-        severity = 0 if self.governor is None else self.governor.mode.severity
-        batch, deadline_s = self._batcher.decide(severity)
-        previous = self.queue.max_batch
-        if batch == previous and deadline_s == self.queue.max_latency_s:
-            return
-        self.queue.resize(batch, deadline_s)
-        if batch == previous:
-            return
-        self.registry.counter("batch_resizes_total").inc()
-        self.registry.gauge("adaptive_batch_size").set(batch)
-        if self.observer.enabled:
-            self.observer.emit(
-                "serve.batch_resize",
-                t_s=t_s,
-                previous=previous,
-                batch=batch,
-                deadline_ms=None if deadline_s is None else 1000.0 * deadline_s,
-            )
 
     def flush(self) -> list[InferenceResult]:
         """Force inference on everything pending (end of stream, shutdown)."""
@@ -836,7 +698,6 @@ class InferenceEngine:
         alive: list[PendingFrame] = []
         for frame in frames:
             if expired(frame.deadline_s, self._now_s):
-                self._release_frame(frame)
                 link = self._link(frame.link_id)
                 link.deadline_expired += 1
                 self.registry.counter("frames_deadline_expired").inc()
@@ -863,7 +724,6 @@ class InferenceEngine:
         self.registry.counter("frames_shed_overload").inc(len(frames))
         obs = self.observer
         for frame in frames:
-            self._release_frame(frame)
             self._link(frame.link_id).overload_shed += 1
             if obs.enabled:
                 obs.frame_outcome(
@@ -878,7 +738,6 @@ class InferenceEngine:
         fresh: list[PendingFrame] = []
         for frame in frames:
             if self._now_s - frame.t_s > self.stale_after_s:
-                self._release_frame(frame)
                 link = self._link(frame.link_id)
                 link.stale_dropped += 1
                 link.health = LinkHealth.DEGRADED
@@ -944,28 +803,21 @@ class InferenceEngine:
     def _assemble(self, frames: list[PendingFrame]) -> np.ndarray:
         """Copy the batch rows into a reused buffer (zero fresh allocation).
 
-        Falls back to ``np.stack`` for over-long batches or mixed frame
-        widths, where it reproduces the legacy behaviour (including the
+        The ring holds ``queue.max_batch`` float64 rows per slot.  Falls
+        back to ``np.stack`` for over-long batches or mixed frame widths,
+        where it reproduces the legacy behaviour (including the
         ``ValueError`` a ragged batch has always raised).
         """
         n = len(frames)
         width = frames[0].csi.shape[0]
-        ceiling = max(self._batch_ceiling, self.queue.max_batch)
-        if n > ceiling or any(
+        max_batch = self.queue.max_batch
+        if n > max_batch or any(
             frame.csi.shape[0] != width for frame in frames
         ):
             return np.stack([frame.csi for frame in frames])
-        # The ring is sized to the configured ceiling, not the queue's
-        # *current* max_batch, so adaptive resizes never reallocate; on
-        # the arena path it matches the slab dtype (float32) end to end.
-        dtype = np.float32 if self._arena_slots is not None else np.float64
-        shape = (ceiling, width)
-        if (
-            not self._batch_ring
-            or self._batch_ring[0].shape != shape
-            or self._batch_ring[0].dtype != dtype
-        ):
-            self._batch_ring = [np.empty(shape, dtype=dtype) for _ in range(2)]
+        shape = (max_batch, width)
+        if not self._batch_ring or self._batch_ring[0].shape != shape:
+            self._batch_ring = [np.empty(shape) for _ in range(2)]
             self._ring_index = 0
         buffer = self._batch_ring[self._ring_index]
         self._ring_index = (self._ring_index + 1) % len(self._batch_ring)
@@ -1107,14 +959,6 @@ class InferenceEngine:
             self._rollout.on_batch(
                 frames, x[: len(frames)], probabilities, self._now_s, source=source
             )
-        if self.arena is not None:
-            # Answered is terminal: the rows live on in the batch ring
-            # copy (x), so the slab slots recycle immediately.  Consumers
-            # must not retain frame.csi past this point — the same
-            # aliasing contract the two-slot batch ring already imposes.
-            for frame in frames:
-                self._release_frame(frame)
-            self._sync_arena_metrics()
         return results
 
     def _reject_batch(self, frames: list[PendingFrame]) -> list[InferenceResult]:
@@ -1124,7 +968,6 @@ class InferenceEngine:
         if obs.enabled:
             obs.emit("batch.rejected", t_s=self._now_s, n=len(frames))
         for frame in frames:
-            self._release_frame(frame)
             link = self._link(frame.link_id)
             link.policy_rejected += 1
             link.health = LinkHealth.DEGRADED

@@ -54,11 +54,6 @@ class PendingFrame:
     #: ``inf`` when no deadline budget is configured.  Frames past their
     #: deadline are shed at dequeue instead of served stale.
     deadline_s: float = math.inf
-    #: Arena slot backing :attr:`csi` when the engine runs a
-    #: :class:`~repro.serve.arena.FrameArena` (``csi`` is then a slab
-    #: view); ``None`` means the frame owns its row (legacy path).  The
-    #: engine releases the slot when the frame reaches a terminal outcome.
-    slot: object | None = None
 
 
 class MicroBatchQueue:
@@ -156,24 +151,6 @@ class MicroBatchQueue:
         self._link_counts[frame.link_id] = self._link_counts.get(frame.link_id, 0) + 1
         return evicted
 
-    def resize(self, max_batch: int, max_latency_s: float | None) -> None:
-        """Re-point the flush triggers (the adaptive batcher's lever).
-
-        Capacity and per-link credit are structural and never move;
-        pending frames are untouched — the new triggers simply apply to
-        the next :meth:`ready` evaluation.
-        """
-        if max_batch < 1:
-            raise ConfigurationError("max_batch must be >= 1")
-        if max_batch > self.capacity:
-            raise ConfigurationError(
-                f"max_batch ({max_batch}) must be <= capacity ({self.capacity})"
-            )
-        if max_latency_s is not None and max_latency_s <= 0:
-            raise ConfigurationError("max_latency_s must be positive (or None)")
-        self.max_batch = int(max_batch)
-        self.max_latency_s = max_latency_s
-
     def ready(self, now_s: float) -> bool:
         """Should the engine flush, given the current stream time?"""
         if len(self._pending) >= self.max_batch:
@@ -190,10 +167,3 @@ class MicroBatchQueue:
         """Pop up to ``limit`` frames (default ``max_batch``) in FIFO order."""
         n = min(len(self._pending), limit if limit is not None else self.max_batch)
         return [self._forget(self._pending.popleft()) for _ in range(n)]
-
-    def drain_all(self) -> list[PendingFrame]:
-        """Pop everything — used by the engine's final flush."""
-        out = list(self._pending)
-        self._pending.clear()
-        self._link_counts.clear()
-        return out

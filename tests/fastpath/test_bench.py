@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.fastpath import PerfBenchReport, run_perf_bench
-from repro.fastpath.bench import BatchThroughput
+from repro.fastpath.bench import BatchThroughput, SaturatedLoad, _saturated_arm
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,6 @@ class TestSaturatedArm:
         for row in report.saturated:
             assert row.ok
             assert row.ledger_unaccounted == 0
-            assert row.arena_in_use_after == 0
             dropped = sum(row.dropped.values())
             assert row.answered + dropped == row.n_offered
             assert 0 < row.sojourn_p50_ms <= row.sojourn_p99_ms
@@ -176,3 +175,38 @@ def test_deterministic_divergence_across_runs():
     a = run_perf_bench(**kwargs)
     b = run_perf_bench(**kwargs)
     assert a.max_divergence == b.max_divergence
+
+
+class _RowMean:
+    def predict_proba(self, x):
+        return np.asarray(x, dtype=float).mean(axis=1)
+
+
+def _sat_row(unaccounted: int) -> SaturatedLoad:
+    return SaturatedLoad(
+        offered_ratio=1.4, offered_fps=1400.0, n_offered=100, answered=70,
+        dropped={"overflow": 30}, sojourn_p50_ms=1.0, sojourn_p99_ms=2.0,
+        wall_fps=1e5, ledger_unaccounted=unaccounted,
+    )
+
+
+@pytest.mark.parametrize("unaccounted, ok", [(0, True), (1, False), (-1, False)])
+def test_saturated_load_ok_is_the_ledger_gate(unaccounted, ok):
+    assert _sat_row(unaccounted).ok is ok
+
+
+def test_saturated_arm_at_fixed_capacity_is_host_independent():
+    """Answers, drops by cause and sojourn depend on the offered ratio only."""
+    kwargs = dict(
+        n_inputs=6, capacity_fps=1000.0, loads=(0.7, 1.0, 1.4),
+        n_frames=3000, seed=4,
+    )
+    first = _saturated_arm(_RowMean(), **kwargs)
+    second = _saturated_arm(_RowMean(), **kwargs)
+    for a, b in zip(first, second, strict=True):
+        assert (a.answered, a.dropped, a.sojourn_p50_ms, a.sojourn_p99_ms) == (
+            b.answered, b.dropped, b.sojourn_p50_ms, b.sojourn_p99_ms
+        )
+        assert a.ok and a.answered + sum(a.dropped.values()) == a.n_offered
+    assert sum(first[0].dropped.values()) == 0
+    assert first[-1].dropped["overflow"] > 0

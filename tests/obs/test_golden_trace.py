@@ -279,63 +279,6 @@ class TestGoldenTracePromotion:
         assert self._cycle(seed=5) != self._cycle(seed=6)
 
 
-class TestGoldenTraceAdaptive:
-    """An adaptive-batching episode replays byte-for-byte.
-
-    The :class:`~repro.serve.adaptive.AdaptiveBatcher` runs entirely in
-    stream time off frame timestamps, so the resize decisions — and the
-    closed-taxonomy ``serve.batch_resize`` events recording them — must
-    land on identical frames across same-seed replays, interleaved
-    identically with the frame life-cycle events.
-    """
-
-    N_IN = 5
-
-    def _episode(self, seed):
-        engine = InferenceEngine(
-            ConstantEstimator(),
-            ServeConfig(
-                max_batch=32,
-                min_batch=2,
-                max_latency_ms=50.0,
-                queue_capacity=128,
-                adaptive_batching=True,
-                arena_slots=160,
-                observer=Observer(label="adaptive"),
-            ),
-        )
-        rng = np.random.default_rng(seed)
-        t = 0.0
-        for _ in range(300):
-            # Seed-drawn burst/lull mix: the rate estimate, and with it
-            # the resize schedule, genuinely depends on the seed.
-            t += float(rng.choice([0.0005, 0.008, 0.15]))
-            engine.submit("room", t, rng.random(self.N_IN))
-        engine.flush()
-        assert engine.observer.ledger()["unaccounted"] == 0
-        return engine.observer.events
-
-    def test_same_seed_adaptive_episodes_are_byte_identical(self):
-        first = self._episode(seed=5)
-        second = self._episode(seed=5)
-        assert first.count("serve.batch_resize") >= 1
-        assert first.count("serve.batch_resize") == second.count("serve.batch_resize")
-        assert first.to_jsonl().encode() == second.to_jsonl().encode()
-
-    def test_resize_events_carry_the_closed_schema(self):
-        events = self._episode(seed=5)
-        for event in events:
-            if event.kind != "serve.batch_resize":
-                continue
-            assert set(event.data) == {"previous", "batch", "deadline_ms"}
-            assert event.data["batch"] != event.data["previous"]
-
-    def test_different_seed_moves_the_adaptive_trace(self):
-        a = self._episode(seed=5).to_jsonl()
-        b = self._episode(seed=6).to_jsonl()
-        assert a != b
-
-
 class TestGoldenTraceChurn:
     """A seeded fleet churn episode replays byte-for-byte.
 

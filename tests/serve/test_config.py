@@ -30,34 +30,21 @@ class TestServeConfigValidation:
             ServeConfig(max_batch=0)
 
     def test_rejects_capacity_below_batch(self):
-        with pytest.raises(ConfigurationError):
-            ServeConfig(max_batch=64, queue_capacity=32)
-
-    def test_batching_triple_errors_name_the_offending_field(self):
-        # min_batch <= max_batch <= queue_capacity: each violation is
-        # reported against the field the caller has to fix.
-        with pytest.raises(ConfigurationError, match="min_batch"):
-            ServeConfig(min_batch=0)
-        with pytest.raises(ConfigurationError, match=r"min_batch \(16\).*max_batch \(8\)"):
-            ServeConfig(min_batch=16, max_batch=8)
         with pytest.raises(ConfigurationError, match="queue_capacity"):
             ServeConfig(max_batch=64, queue_capacity=32)
+        config = ServeConfig(max_batch=8, queue_capacity=8)  # the boundary
+        assert (config.max_batch, config.queue_capacity) == (8, 8)
 
-    def test_batching_triple_accepts_the_boundary(self):
-        config = ServeConfig(min_batch=8, max_batch=8, queue_capacity=8)
-        assert (config.min_batch, config.max_batch, config.queue_capacity) == (8, 8, 8)
-
-    def test_rejects_bad_arena_slots(self):
-        with pytest.raises(ConfigurationError, match="arena_slots"):
-            ServeConfig(arena_slots=0)
-        assert ServeConfig(arena_slots=None).arena_slots is None
-        assert ServeConfig(arena_slots=1).arena_slots == 1
-
-    def test_adaptive_defaults_off(self):
-        config = ServeConfig()
-        assert config.adaptive_batching is False
-        assert config.min_batch == 1
-        assert config.arena_slots is None
+    @pytest.mark.parametrize(
+        "field", ["min_batch", "adaptive_batching", "arena_slots"]
+    )
+    def test_batching_has_one_fixed_size_knob(self, field):
+        # Batches are sized by max_batch alone; the removed knobs are not
+        # silently accepted and dropped.
+        with pytest.raises(TypeError, match=field):
+            ServeConfig(**{field: 4})
+        with pytest.raises(TypeError, match=field):
+            ServeConfig().with_overrides(**{field: 4})
 
     def test_rejects_non_positive_latency(self):
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.pipeline import ScaledLogistic
 from repro.config import TrainingConfig
@@ -30,6 +32,13 @@ class EchoEstimator:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[:, 0]
+
+
+class RowMean:
+    """Row-deterministic estimator: numerics independent of batch shape."""
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float).mean(axis=1)
 
 
 class BrokenEstimator:
@@ -686,3 +695,63 @@ class TestPump:
         )
         with pytest.raises(ConfigurationError):
             engine.pump(-1)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    phases=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=40),   # frames in the phase
+            st.sampled_from([0.001, 0.01, 0.2]),      # inter-arrival dt
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    bad_every=st.integers(min_value=5, max_value=11),
+    data_seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_ledger_reconciles_over_random_schedules(phases, bad_every, data_seed):
+    """Burst/lull schedules with faults: exact frame accounting.
+
+    Overflow, staleness, deadlines and non-finite frames all fire at
+    random; afterwards the engine-side ledger must balance exactly and
+    the queue must be empty.
+    """
+    config = ServeConfig(
+        max_batch=8,
+        max_latency_ms=30.0,
+        queue_capacity=16,
+        stale_after_s=0.5,
+        deadline_ms=800.0,
+    )
+    engine = InferenceEngine(RowMean(), config)
+    rng = np.random.default_rng(data_seed)
+    answered = 0
+    t = 0.0
+    i = 0
+    for n_frames, dt in phases:
+        for _ in range(n_frames):
+            t += dt
+            i += 1
+            if i % bad_every == 0:
+                row = np.full(5, np.inf)  # refused at the finite gate
+            else:
+                row = rng.normal(loc=10.0, scale=3.0, size=5)
+            answered += len(engine.submit("link", t, row))
+    answered += len(engine.flush())
+
+    stats = engine.link_stats("link")
+    dropped = (
+        stats["stale_dropped"]
+        + stats["deadline_expired"]
+        + stats["overflow"]
+        + stats["overload_shed"]
+        + stats["policy_rejected"]
+    )
+    assert stats["frames_out"] == answered
+    assert stats["frames_in"] + stats["repaired"] == answered + dropped
+    assert engine.queue.depth == 0

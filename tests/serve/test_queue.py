@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.serve.queue import MicroBatchQueue, PendingFrame
@@ -84,11 +86,11 @@ class TestDrain:
         assert len(q.drain(limit=1)) == 1
         assert q.depth == 4
 
-    def test_drain_all_empties(self):
+    def test_draining_everything_empties(self):
         q = MicroBatchQueue(max_batch=3, max_latency_s=None, capacity=16)
         for i in range(5):
             q.push(_frame(i))
-        batch = q.drain_all()
+        batch = q.drain(limit=len(q))
         assert [f.t_s for f in batch] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert q.depth == 0
         assert len(q) == 0
@@ -138,5 +140,55 @@ class TestQueueCredit:
         q.push(PendingFrame("a", 5.0, np.zeros(4)))
         q.push(PendingFrame("a", 7.0, np.zeros(4)))
         assert q.oldest_t_s == 5.0
-        q.drain_all()
+        q.drain()
         assert q.oldest_t_s is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    max_batch=st.integers(min_value=1, max_value=6),
+    extra_capacity=st.integers(min_value=0, max_value=6),
+    credit=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("push"), st.sampled_from(["a", "b", "c"])),
+            st.tuples(
+                st.just("drain"),
+                st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+            ),
+        ),
+        max_size=60,
+    ),
+)
+def test_queue_matches_a_list_model(max_batch, extra_capacity, credit, ops):
+    """Push/drain sequences against a plain-list model of the eviction rules."""
+    capacity = max_batch + extra_capacity
+    q = MicroBatchQueue(
+        max_batch=max_batch, max_latency_s=None, capacity=capacity, credit=credit
+    )
+    model: list[PendingFrame] = []
+    for i, (op, arg) in enumerate(ops):
+        if op == "push":
+            frame = PendingFrame(arg, float(i), np.zeros(2), frame_id=i)
+            own = [f for f in model if f.link_id == arg]
+            if credit is not None and len(own) >= credit:
+                want_evicted = own[0]
+            elif len(model) >= capacity:
+                want_evicted = model[0]
+            else:
+                want_evicted = None
+            if want_evicted is not None:
+                model.remove(want_evicted)
+            model.append(frame)
+            assert q.push(frame) is want_evicted
+        else:
+            n = min(len(model), max_batch if arg is None else arg)
+            want, model = model[:n], model[n:]
+            assert q.drain(arg) == want
+        assert q.max_batch == max_batch
+        assert q.depth == len(model) <= capacity
+        for link in "abc":
+            depth = sum(f.link_id == link for f in model)
+            assert q.link_depth(link) == depth
+            assert credit is None or depth <= credit
+        assert q.oldest_t_s == (model[0].t_s if model else None)
