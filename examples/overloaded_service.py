@@ -32,6 +32,7 @@ Usage::
 import numpy as np
 
 from repro.fastpath.plan import InferencePlan
+from repro.ledger import unaccounted
 from repro.nn.modules import Linear, ReLU, Sequential
 from repro.obs import Observer
 from repro.overload import OverloadPolicy
@@ -119,9 +120,7 @@ def main() -> None:
     for link in ("cold-a", "cold-b", "cold-c"):
         stats = engine.link_stats(link)
         assert stats["rate_limited"] == 0, link
-        losses = (stats["deadline_expired"] + stats["overflow"]
-                  + stats["overload_shed"])
-        assert stats["frames_out"] + losses == stats["frames_in"], link
+        assert unaccounted(stats) == 0, link
     assert engine.link_stats("hot")["rate_limited"] > 0
 
     ledger = observer.ledger()

@@ -39,6 +39,7 @@ from ..guard.validation import (
     SubcarrierCountCheck,
     TimestampMonotonicityCheck,
 )
+from ..ledger import LOST, outcomes, unaccounted
 from ..nn.modules import Sequential
 from ..nn.tensor import Tensor, no_grad
 from .plan import InferencePlan
@@ -516,20 +517,9 @@ def _saturated_arm(
                 answered += 1
         wall = time.perf_counter() - start
         stats = engine.link_stats("sat")
-        dropped = {
-            "overflow": stats["overflow"],
-            "deadline_expired": stats["deadline_expired"],
-            "stale": stats["stale_dropped"],
-            "shed": stats["overload_shed"],
-            "policy_rejected": stats["policy_rejected"],
-        }
-        unaccounted = (
-            stats["frames_in"]
-            + stats["repaired"]
-            - stats["frames_out"]
-            - sum(dropped.values())
-            - engine.queue.depth
-        )
+        counts = outcomes(stats)
+        dropped = {cause: counts[cause] for cause in LOST}
+        ledger_unaccounted = unaccounted(stats, engine.queue.depth)
         sojourn_arr = np.asarray(sojourn) if sojourn else np.zeros(1)
         out.append(
             SaturatedLoad(
@@ -541,7 +531,7 @@ def _saturated_arm(
                 sojourn_p50_ms=1e3 * float(np.percentile(sojourn_arr, 50)),
                 sojourn_p99_ms=1e3 * float(np.percentile(sojourn_arr, 99)),
                 wall_fps=answered / wall if wall > 0 else float("inf"),
-                ledger_unaccounted=int(unaccounted),
+                ledger_unaccounted=ledger_unaccounted,
             )
         )
     return out

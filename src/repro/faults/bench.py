@@ -34,6 +34,7 @@ import numpy as np
 
 from ..data.dataset import OccupancyDataset
 from ..exceptions import ConfigurationError
+from ..ledger import offered, total, unaccounted
 from ..serve.config import ServeConfig
 from ..serve.engine import InferenceEngine
 from ..serve.metrics import MetricsRegistry
@@ -118,6 +119,10 @@ class ChaosScenario:
     crash_fraction: tuple[float, float] | None = None
 
 
+def _ledger_count(key: str) -> property:
+    return property(lambda self: self.ledger[key], doc=f"``ledger[{key!r}]``.")
+
+
 @dataclass
 class ChaosScenarioResult:
     """Outcome of replaying one scenario through the engine."""
@@ -128,17 +133,13 @@ class ChaosScenarioResult:
     n_answered: int
     n_correct: int
     n_fallback: int
-    n_rejected: int
-    n_stale: int
-    n_overflow: int
     n_recovered: int
     n_primary_failures: int
+    #: The engine's :class:`~repro.ledger.FrameLedger` stats summed over links.
+    ledger: dict[str, int]
     # Guard-path legs; all zero when the replay runs without a guard.
-    n_quarantined: int = 0
-    n_repaired: int = 0
     n_answered_repaired: int = 0
     n_correct_repaired: int = 0
-    n_policy_rejected: int = 0
     n_breaker_trips: int = 0
     n_drift_warn: int = 0
     n_drift_trip: int = 0
@@ -166,19 +167,25 @@ class ChaosScenarioResult:
         answered = self.n_answered + self.n_answered_repaired
         return self.n_fallback / answered if answered else 0.0
 
+    n_rejected = _ledger_count("rejected")
+    n_quarantined = _ledger_count("quarantined")
+    n_repaired = _ledger_count("repaired")
+    n_policy_rejected = _ledger_count("policy_rejected")
+    n_stale = _ledger_count("stale_dropped")
+    n_overflow = _ledger_count("overflow")
+
     @property
     def n_unanswered(self) -> int:
-        """Admitted frames that never produced a result — should be 0."""
+        """Submitted frames that never reached an outcome — should be 0.
+
+        Submissions and answers are counted by the replay, not the ledger,
+        so a frame lost before admission or an undelivered answer shows.
+        """
+        answered = self.n_answered + self.n_answered_repaired
         return (
             self.n_submitted
-            + self.n_repaired
-            - self.n_answered
-            - self.n_answered_repaired
-            - self.n_rejected
-            - self.n_quarantined
-            - self.n_policy_rejected
-            - self.n_stale
-            - self.n_overflow
+            - offered(self.ledger)
+            + unaccounted({**self.ledger, "frames_out": answered})
         )
 
     def row(self) -> dict[str, object]:
@@ -488,6 +495,7 @@ def run_chaos_bench(
                 n_correct_repaired += 1
 
         counters = registry.as_dict()
+        ledger = total(engine.link_stats(link) for link in engine.link_ids)
         results.append(
             ChaosScenarioResult(
                 name=scenario.name,
@@ -496,16 +504,11 @@ def run_chaos_bench(
                 n_answered=n_answered,
                 n_correct=n_correct,
                 n_fallback=n_fallback,
-                n_rejected=int(counters.get("frames_rejected", 0.0)),
-                n_stale=int(counters.get("frames_dropped_stale", 0.0)),
-                n_overflow=int(counters.get("frames_dropped_overflow", 0.0)),
                 n_recovered=int(counters.get("link_recovered_total", 0.0)),
                 n_primary_failures=int(counters.get("primary_failures", 0.0)),
-                n_quarantined=int(counters.get("frames_quarantined", 0.0)),
-                n_repaired=int(counters.get("frames_repaired", 0.0)),
+                ledger=ledger,
                 n_answered_repaired=n_answered_repaired,
                 n_correct_repaired=n_correct_repaired,
-                n_policy_rejected=int(counters.get("frames_rejected_policy", 0.0)),
                 n_breaker_trips=int(counters.get("primary_breaker_opened_total", 0.0)),
                 n_drift_warn=int(counters.get("drift_warn_total", 0.0)),
                 n_drift_trip=int(counters.get("drift_trip_total", 0.0)),

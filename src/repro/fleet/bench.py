@@ -45,6 +45,7 @@ from ..config import CampaignConfig
 from ..data.recording import CollectionCampaign
 from ..exceptions import ConfigurationError
 from ..fastpath.plan import InferencePlan
+from ..ledger import mismatches
 from ..nn.modules import Linear, ReLU, Sequential
 from ..obs.observer import Observer
 from ..serve.config import ServeConfig
@@ -542,9 +543,7 @@ def run_churn_scenario(
             report = reports[tenant_id]
             if ledger["unaccounted"] or ledger["pending"]:
                 ledger_reconciled = False
-            if ledger["submitted"] != report["frames_in"]:
-                ledger_reconciled = False
-            if ledger["answered"] != report["frames_out"]:
+            if mismatches(report, ledger):
                 ledger_reconciled = False
             if ledger["answered"] != len(arm_probs.get(tenant_id, [])):
                 ledger_reconciled = False
@@ -681,10 +680,8 @@ def run_fleet_bench(
         counters = observed_fleet.counters(tenant_id)
         if ledger["unaccounted"] or ledger["pending"]:
             ledger_reconciled = False
-        if (
-            ledger["submitted"] != counters["frames_in"]
-            or ledger["answered"] != counters["frames_out"]
-            or counters["frames_out"] != len(observed_probs[tenant_id])
+        if mismatches(counters, ledger) or counters["frames_out"] != len(
+            observed_probs[tenant_id]
         ):
             counters_reconciled = False
         metric_in = observed_fleet.metrics.counter(

@@ -37,12 +37,10 @@ Isolation guarantees (the part that makes multi-tenancy honest):
   :class:`~repro.serve.config.ServeConfig` recipe, so one room's circuit
   breaker trips, drift windows and cadence state never bleed into
   another's;
-* **observer ledgers are per tenant** — pass ``observer_factory`` and
-  each tenant gets its own :class:`~repro.obs.observer.Observer`, whose
-  ledger reconciles independently
-  (``submitted + fills == answered + rejected + quarantined +
-  policy_rejected + stale + overflow + rate_limited + deadline_expired
-  + shed + pending``);
+* **ledgers are per tenant** — each tenant holds its own
+  :class:`~repro.ledger.FrameLedger`, and with ``observer_factory`` its
+  own :class:`~repro.obs.observer.Observer`, whose event-side ledger
+  reconciles against it independently;
 * **metrics are shared but labeled** — per-tenant rollups use the brace
   convention (``fleet_frames_total{tenant=room-12}``) that
   :func:`repro.obs.exposition.render_prometheus` renders as one labeled
@@ -69,6 +67,7 @@ from ..exceptions import ConfigurationError, ServingError, ShapeError, StreamErr
 from ..fastpath.plan import InferencePlan
 from ..guard.supervisor import RecoverySupervisor, ServingMode
 from ..guard.validation import QuarantineBuffer, QuarantinedFrame
+from ..ledger import FrameLedger, unaccounted
 from ..nn.modules import Module
 from ..obs.observer import NULL_OBSERVER
 from ..overload.deadline import deadline_for, expired
@@ -111,34 +110,7 @@ class _TenantState:
         self.supervisor.bind_registry(metrics)
         self.supervisor.bind_observer(observer)
         self.quarantine = QuarantineBuffer() if validator is not None else None
-        # Ledger-side tallies, mirroring the engine's per-link accounting.
-        self.frames_in = 0
-        self.frames_out = 0
-        self.rejected = 0
-        self.quarantined = 0
-        self.repaired = 0
-        self.policy_rejected = 0
-        self.stale_dropped = 0
-        self.overflow_dropped = 0
-        # Overload control plane tallies (always zero when unconfigured).
-        self.rate_limited = 0
-        self.deadline_expired = 0
-        self.overload_shed = 0
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "frames_in": self.frames_in,
-            "frames_out": self.frames_out,
-            "rejected": self.rejected,
-            "quarantined": self.quarantined,
-            "repaired": self.repaired,
-            "policy_rejected": self.policy_rejected,
-            "stale_dropped": self.stale_dropped,
-            "overflow_dropped": self.overflow_dropped,
-            "rate_limited": self.rate_limited,
-            "deadline_expired": self.deadline_expired,
-            "overload_shed": self.overload_shed,
-        }
+        self.ledger = FrameLedger()
 
     # The tenant's labeled counters, looked up by name on first use only
     # (so each still enters the registry when it first fires).
@@ -344,15 +316,6 @@ class Fleet:
             )
         return signature
 
-    #: Per-tenant counter keys a drain tick can move a frame into besides
-    #: ``frames_out`` — the typed shed causes of the drain reconciliation.
-    _DRAIN_SHED_KEYS = (
-        "policy_rejected",
-        "stale_dropped",
-        "deadline_expired",
-        "overload_shed",
-    )
-
     def detach(self, tenant_id: str, now_s: float | None = None) -> dict[str, int]:
         """Remove a tenant after draining its ring through real ticks.
 
@@ -382,20 +345,20 @@ class Fleet:
             manager.abort(self._stamp(now_s))
         state.lifecycle = TenantLifecycle.DRAINING
         drained = self.router.depth(tenant_id)
-        served_before = state.frames_out
-        before = state.counters()
+        before = state.ledger.stats()
         while self.router.depth(tenant_id):
             self._drained_results.extend(self.tick(now_s))
-        drain_served = state.frames_out - served_before
-        drain_shed = sum(
-            state.counters()[key] - before[key] for key in self._DRAIN_SHED_KEYS
-        )
+        final = state.ledger.stats()
+        # Submissions are closed, so nothing is admitted, filled or
+        # evicted while draining: the fall in unaccounted is exactly the
+        # frames the drain ticks answered or lost.
+        drain_served = final["frames_out"] - before["frames_out"]
+        drain_shed = unaccounted(before) - unaccounted(final) - drain_served
         if drained != drain_served + drain_shed:
             raise ServingError(
                 f"detach drain for tenant {tenant_id!r} does not reconcile: "
                 f"{drained} drained != {drain_served} served + {drain_shed} shed"
             )
-        final = state.counters()
         final["drained"] = drained
         final["drain_served"] = drain_served
         final["drain_shed"] = drain_shed
@@ -551,12 +514,15 @@ class Fleet:
         return self._tenant(tenant_id).debouncer.state
 
     def ledger(self, tenant_id: str) -> dict[str, int]:
-        """The tenant observer's frame ledger (all zeros when untraced)."""
+        """The tenant observer's frame ledger (``{}`` when untraced)."""
         return self._tenant(tenant_id).observer.ledger()
 
     def counters(self, tenant_id: str) -> dict[str, int]:
-        """The fleet-side per-tenant tallies (engine ``_LinkState`` parity)."""
-        return self._tenant(tenant_id).counters()
+        """The tenant's :class:`~repro.ledger.FrameLedger` tallies.
+
+        Same keys, in the same order, as the engine's ``link_stats``.
+        """
+        return self._tenant(tenant_id).ledger.stats()
 
     # --------------------------------------------------------------- submit
 
@@ -585,7 +551,7 @@ class Fleet:
         try:
             csi_row = check_csi_row(csi_row)
         except (ShapeError, StreamError):
-            state.rejected += 1
+            state.ledger.rejected += 1
             self.metrics.counter("fleet_frames_rejected").inc()
             if tracing:
                 obs.frame_outcome("rejected", frame_id, tenant_id, t_f, gate="shape")
@@ -594,7 +560,7 @@ class Fleet:
             # Same gate order as the engine: after the shape check
             # (malformed frames spend no tokens), before the validator
             # (over-rate tenants burn no validator CPU).
-            state.rate_limited += 1
+            state.ledger.rate_limited += 1
             self.metrics.counter("fleet_frames_rate_limited").inc()
             if tracing:
                 obs.frame_outcome(
@@ -608,7 +574,7 @@ class Fleet:
         if state.validator is not None:
             failure = state.validator.validate(tenant_id, t_f, csi_row)
             if failure is not None:
-                state.quarantined += 1
+                state.ledger.quarantined += 1
                 self.metrics.counter("fleet_frames_quarantined").inc()
                 state.quarantine.add(QuarantinedFrame(tenant_id, t_f, csi_row, failure))
                 if tracing:
@@ -616,7 +582,7 @@ class Fleet:
                         "quarantined", frame_id, tenant_id, t_f, check=failure.check
                     )
                 return FrameTicket(tenant_id, frame_id, t_f, "quarantined")
-        state.frames_in += 1
+        state.ledger.frames_in += 1
         self._frames_in.inc()
         state.frames_total.inc()
         self._now_s = max(self._now_s, t_f)
@@ -633,7 +599,7 @@ class Fleet:
         if state.repairer is not None:
             fills = state.repairer.observe(tenant_id, t_f, csi_row)
             if fills:
-                state.repaired += len(fills)
+                state.ledger.repaired += len(fills)
                 self.metrics.counter("fleet_frames_repaired").inc(len(fills))
                 filled = []
                 for fill in fills:
@@ -655,7 +621,7 @@ class Fleet:
         for frame in pending:
             evicted = self.router.route(frame)
             if evicted is not None:
-                state.overflow_dropped += 1
+                state.ledger.overflow += 1
                 self.metrics.counter("fleet_frames_dropped_overflow").inc()
                 # Labeled rollup: eviction is attributable per tenant in
                 # the Prometheus exposition, not just fleet-aggregate.
@@ -799,7 +765,7 @@ class Fleet:
         fresh: list[TenantFrame] = []
         for frame in frames:
             if now - frame.t_s > self.config.stale_after_s:
-                state.stale_dropped += 1
+                state.ledger.stale_dropped += 1
                 state.health = LinkHealth.DEGRADED
                 self.metrics.counter("fleet_frames_dropped_stale").inc()
                 if obs.enabled:
@@ -821,7 +787,7 @@ class Fleet:
         alive: list[TenantFrame] = []
         for frame in frames:
             if expired(frame.deadline_s, now):
-                state.deadline_expired += 1
+                state.ledger.deadline_expired += 1
                 self.metrics.counter("fleet_frames_deadline_expired").inc()
                 if obs.enabled:
                     obs.frame_outcome(
@@ -841,7 +807,7 @@ class Fleet:
         (unlike :meth:`_shed`, which records a per-tenant fault)."""
         if not frames:
             return
-        state.overload_shed += len(frames)
+        state.ledger.overload_shed += len(frames)
         self.metrics.counter("fleet_frames_shed_overload").inc(len(frames))
         obs = state.observer
         if obs.enabled:
@@ -850,7 +816,7 @@ class Fleet:
 
     def _shed(self, state: _TenantState, frames: list[TenantFrame]) -> None:
         """Supervisor said not-PRIMARY (or the run failed): drop the tick."""
-        state.policy_rejected += len(frames)
+        state.ledger.policy_rejected += len(frames)
         state.health = LinkHealth.DEGRADED
         self.metrics.counter("fleet_frames_policy_rejected").inc(len(frames))
         obs = state.observer
@@ -869,7 +835,7 @@ class Fleet:
     ) -> list[InferenceResult]:
         obs = state.observer
         tracing = obs.enabled
-        state.frames_out += len(frames)
+        state.ledger.frames_out += len(frames)
         state.frames_out_total.inc(len(frames))
         # Batch-level work once, as in the engine's emit loop: one float
         # conversion and one health resolution per distinct health.

@@ -17,34 +17,21 @@ Beyond bundling, the observer owns the obs-side **frame ledger**: it
 counts frames entering the pipeline (:attr:`frames_submitted`, plus
 synthetic :attr:`fills_created`) and, via the event log's lifetime kind
 counts, frames leaving through each terminal outcome.  :meth:`ledger`
-reconciles the two —
-
-``submitted + fills == answered + rejected + quarantined
-+ policy_rejected + stale + overflow + rate_limited
-+ deadline_expired + shed + pending``
-
-— exactly, mirroring the chaos-bench frame ledger from the event side so
-the two accountings can be cross-checked frame-for-frame.
+reconciles the two (``submitted + fills`` == every outcome of
+:data:`repro.ledger.OUTCOMES` + ``pending``) exactly, so
+:func:`repro.ledger.mismatches` can cross-check it against the serving
+surfaces' own :class:`~repro.ledger.FrameLedger` tallies.
 """
 
 from __future__ import annotations
 
 from ..exceptions import ConfigurationError
+from ..ledger import OUTCOMES
 from .events import EventLog
 from .tracer import FrameTracer
 
 #: Terminal outcomes and the event kind that records each.
-_OUTCOME_KINDS = {
-    "answered": "frame.answered",
-    "rejected": "frame.rejected",
-    "quarantined": "frame.quarantined",
-    "policy_rejected": "frame.policy_rejected",
-    "stale": "frame.stale",
-    "overflow": "frame.overflow",
-    "rate_limited": "frame.rate_limited",
-    "deadline_expired": "frame.deadline_expired",
-    "shed": "frame.shed",
-}
+_OUTCOME_KINDS = {outcome: f"frame.{outcome}" for outcome in OUTCOMES}
 
 
 class Observer:

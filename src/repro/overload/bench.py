@@ -47,6 +47,7 @@ import numpy as np
 from ..benchkit import DEFAULT_SEED
 from ..exceptions import ConfigurationError, DeadlineError
 from ..fastpath.plan import InferencePlan
+from ..ledger import OUTCOMES, mismatches, outcomes, total
 from ..nn.modules import Linear, ReLU, Sequential
 from ..obs.observer import Observer
 from ..serve.config import ServeConfig
@@ -55,16 +56,7 @@ from .deadline import check_served_within_deadline
 from .governor import OverloadPolicy
 
 #: Shed causes the per-arm breakdown reports, in ledger order.
-SHED_CAUSES = (
-    "rejected",
-    "quarantined",
-    "policy_rejected",
-    "stale",
-    "overflow",
-    "rate_limited",
-    "deadline_expired",
-    "shed",
-)
+SHED_CAUSES = tuple(o for o in OUTCOMES if o != "answered")
 
 
 @dataclass(frozen=True)
@@ -170,27 +162,9 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
     }
 
 
-def _reconcile_engine(engine: InferenceEngine, observer: Observer) -> tuple[bool, bool]:
-    """(ledger balanced, engine tallies agree with the event ledger)."""
-    ledger = observer.ledger()
-    ledger_ok = ledger["unaccounted"] == 0 and ledger["pending"] == 0
-    totals = dict.fromkeys(SHED_CAUSES, 0)
-    answered = 0
-    for link_id in engine.link_ids:
-        stats = engine.link_stats(link_id)
-        answered += stats["frames_out"]
-        totals["rejected"] += stats["rejected"]
-        totals["quarantined"] += stats["quarantined"]
-        totals["policy_rejected"] += stats["policy_rejected"]
-        totals["stale"] += stats["stale_dropped"]
-        totals["overflow"] += stats["overflow"]
-        totals["rate_limited"] += stats["rate_limited"]
-        totals["deadline_expired"] += stats["deadline_expired"]
-        totals["shed"] += stats["overload_shed"]
-    counters_ok = answered == ledger["answered"] and all(
-        totals[cause] == ledger[cause] for cause in SHED_CAUSES
-    )
-    return ledger_ok, counters_ok
+def _shed_by_cause(stats: dict[str, int]) -> dict[str, int]:
+    counts = outcomes(stats)
+    return {cause: counts[cause] for cause in SHED_CAUSES}
 
 
 def _run_engine_arm(
@@ -250,20 +224,14 @@ def _run_engine_arm(
     consume(engine.flush(), duration_s)
     peak_severity = max(peak_severity, engine.mode.severity)
 
-    ledger_ok, counters_ok = _reconcile_engine(engine, observer)
-    shed = dict.fromkeys(SHED_CAUSES, 0)
-    rate_limited = {}
-    for link_id in engine.link_ids:
-        stats = engine.link_stats(link_id)
-        rate_limited[link_id] = stats["rate_limited"]
-        shed["rejected"] += stats["rejected"]
-        shed["quarantined"] += stats["quarantined"]
-        shed["policy_rejected"] += stats["policy_rejected"]
-        shed["stale"] += stats["stale_dropped"]
-        shed["overflow"] += stats["overflow"]
-        shed["rate_limited"] += stats["rate_limited"]
-        shed["deadline_expired"] += stats["deadline_expired"]
-        shed["shed"] += stats["overload_shed"]
+    # One observer sees every link, so it reconciles against the total.
+    ledger = observer.ledger()
+    stats = {link_id: engine.link_stats(link_id) for link_id in engine.link_ids}
+    combined = total(stats.values())
+    ledger_ok = ledger["unaccounted"] == 0 and ledger["pending"] == 0
+    counters_ok = not mismatches(combined, ledger)
+    shed = _shed_by_cause(combined)
+    rate_limited = {link_id: s["rate_limited"] for link_id, s in stats.items()}
     return ArmReport(
         name=name,
         arrivals=dict(traffic.per_tenant),
@@ -332,31 +300,14 @@ def _run_fleet_arm(
         consume(fleet.tick(t_end), t_end)
     consume(fleet.flush(), duration_s)
 
-    ledger_ok = True
-    counters_ok = True
-    shed = dict.fromkeys(SHED_CAUSES, 0)
-    rate_limited = {}
-    for tenant in traffic.per_tenant:
-        ledger = fleet.ledger(tenant)
-        counters = fleet.counters(tenant)
-        if ledger["unaccounted"] or ledger["pending"]:
-            ledger_ok = False
-        pairs = (
-            ("answered", counters["frames_out"]),
-            ("rejected", counters["rejected"]),
-            ("quarantined", counters["quarantined"]),
-            ("policy_rejected", counters["policy_rejected"]),
-            ("stale", counters["stale_dropped"]),
-            ("overflow", counters["overflow_dropped"]),
-            ("rate_limited", counters["rate_limited"]),
-            ("deadline_expired", counters["deadline_expired"]),
-            ("shed", counters["overload_shed"]),
-        )
-        if any(ledger[cause] != value for cause, value in pairs):
-            counters_ok = False
-        rate_limited[tenant] = counters["rate_limited"]
-        for cause, value in pairs[1:]:
-            shed[cause] += value
+    stats = {tenant: fleet.counters(tenant) for tenant in traffic.per_tenant}
+    ledgers = {tenant: fleet.ledger(tenant) for tenant in stats}
+    ledger_ok = not any(
+        ledger["unaccounted"] or ledger["pending"] for ledger in ledgers.values()
+    )
+    counters_ok = not any(mismatches(stats[t], ledgers[t]) for t in stats)
+    shed = _shed_by_cause(total(stats.values()))
+    rate_limited = {tenant: s["rate_limited"] for tenant, s in stats.items()}
     return ArmReport(
         name="fleet",
         arrivals=dict(traffic.per_tenant),

@@ -93,6 +93,7 @@ from ..exceptions import (
 from ..guard.repair import GapRepairer
 from ..guard.supervisor import RecoverySupervisor, ServingMode
 from ..guard.validation import FrameValidator, QuarantineBuffer, QuarantinedFrame
+from ..ledger import FrameLedger
 from ..obs.observer import NULL_OBSERVER
 from ..overload.deadline import deadline_for, expired
 from ..overload.governor import SaturationGovernor, ServiceMode
@@ -143,24 +144,12 @@ class InferenceResult:
 
 
 class _LinkState:
-    """Per-link serving context: debouncer, health, bookkeeping."""
+    """Per-link serving context: debouncer, health, frame ledger."""
 
     def __init__(self, window: int, hold_frames: int) -> None:
         self.debouncer = SmoothingDebouncer(window, hold_frames)
         self.health = LinkHealth.IDLE
-        self.frames_in = 0
-        self.frames_out = 0
-        self.fallback_frames = 0
-        self.stale_dropped = 0
-        self.rejected = 0
-        self.quarantined = 0
-        self.repaired = 0
-        self.policy_rejected = 0
-        # Overload control plane tallies (always zero when unconfigured).
-        self.rate_limited = 0
-        self.deadline_expired = 0
-        self.overflow = 0
-        self.overload_shed = 0
+        self.ledger = FrameLedger()
 
 
 class InferenceEngine:
@@ -460,7 +449,7 @@ class InferenceEngine:
         try:
             csi_row = check_csi_row(csi_row)
         except (ShapeError, StreamError):
-            link.rejected += 1
+            link.ledger.rejected += 1
             self.registry.counter("frames_rejected").inc()
             if tracing:
                 obs.frame_outcome("rejected", frame_id, link_id, t_f, gate="shape")
@@ -469,7 +458,7 @@ class InferenceEngine:
             # After the shape gate (malformed frames must not spend
             # tokens), before the validator (an over-rate tenant must not
             # burn validator CPU either).
-            link.rate_limited += 1
+            link.ledger.rate_limited += 1
             self.registry.counter("frames_rate_limited").inc()
             if tracing:
                 obs.frame_outcome(
@@ -489,7 +478,7 @@ class InferenceEngine:
                     frame_id, "validate", 1000.0 * (time.perf_counter() - t0)
                 )
             if failure is not None:
-                link.quarantined += 1
+                link.ledger.quarantined += 1
                 self.registry.counter("frames_quarantined").inc()
                 self.quarantine.add(
                     QuarantinedFrame(link_id, t_f, csi_row, failure)
@@ -499,7 +488,7 @@ class InferenceEngine:
                         "quarantined", frame_id, link_id, t_f, check=failure.check
                     )
                 return frame_id, "quarantined", []
-        link.frames_in += 1
+        link.ledger.frames_in += 1
         self._frames_in.inc()
         self._now_s = max(self._now_s, t_f)
 
@@ -524,7 +513,7 @@ class InferenceEngine:
                     frame_id, "repair", 1000.0 * (time.perf_counter() - t0)
                 )
             if fills:
-                link.repaired += len(fills)
+                link.ledger.repaired += len(fills)
                 self.registry.counter("frames_repaired").inc(len(fills))
                 filled: list[PendingFrame] = []
                 for fill in fills:
@@ -548,7 +537,7 @@ class InferenceEngine:
                 t0 = time.perf_counter()
             evicted = self.queue.push(frame)
             if evicted is not None:
-                self._link(evicted.link_id).overflow += 1
+                self._link(evicted.link_id).ledger.overflow += 1
                 self.registry.counter("frames_dropped_overflow").inc()
                 if tracing:
                     obs.frame_outcome(
@@ -664,29 +653,14 @@ class InferenceEngine:
         self._fastpath = plan
 
     def link_stats(self, link_id: str) -> dict[str, int]:
-        """Per-link lifetime tallies (admission through terminal outcome).
+        """Per-link lifetime tallies: the link's :class:`~repro.ledger.FrameLedger`.
 
-        The engine-side half of the frame ledger, keyed like the fleet's
-        per-tenant ``counters()`` so bench reconciliation reads one
-        schema across both serving surfaces.
+        Same keys, in the same order, as the fleet's per-tenant
+        ``counters()``; check them with :func:`repro.ledger.unaccounted`.
         """
         if link_id not in self._links:
             raise ConfigurationError(f"unknown link {link_id!r}")
-        link = self._links[link_id]
-        return {
-            "frames_in": link.frames_in,
-            "frames_out": link.frames_out,
-            "fallback_frames": link.fallback_frames,
-            "stale_dropped": link.stale_dropped,
-            "rejected": link.rejected,
-            "quarantined": link.quarantined,
-            "repaired": link.repaired,
-            "policy_rejected": link.policy_rejected,
-            "rate_limited": link.rate_limited,
-            "deadline_expired": link.deadline_expired,
-            "overflow": link.overflow,
-            "overload_shed": link.overload_shed,
-        }
+        return self._links[link_id].ledger.stats()
 
     # ---------------------------------------------------------------- batch
 
@@ -698,8 +672,7 @@ class InferenceEngine:
         alive: list[PendingFrame] = []
         for frame in frames:
             if expired(frame.deadline_s, self._now_s):
-                link = self._link(frame.link_id)
-                link.deadline_expired += 1
+                self._link(frame.link_id).ledger.deadline_expired += 1
                 self.registry.counter("frames_deadline_expired").inc()
                 if obs.enabled:
                     obs.frame_outcome(
@@ -724,7 +697,7 @@ class InferenceEngine:
         self.registry.counter("frames_shed_overload").inc(len(frames))
         obs = self.observer
         for frame in frames:
-            self._link(frame.link_id).overload_shed += 1
+            self._link(frame.link_id).ledger.overload_shed += 1
             if obs.enabled:
                 obs.frame_outcome(
                     "shed", frame.frame_id, frame.link_id, frame.t_s
@@ -739,7 +712,7 @@ class InferenceEngine:
         for frame in frames:
             if self._now_s - frame.t_s > self.stale_after_s:
                 link = self._link(frame.link_id)
-                link.stale_dropped += 1
+                link.ledger.stale_dropped += 1
                 link.health = LinkHealth.DEGRADED
                 self.registry.counter("frames_dropped_stale").inc()
                 if obs.enabled:
@@ -899,9 +872,10 @@ class InferenceEngine:
         append = results.append
         for frame, p in zip(frames, probabilities.tolist()):
             link = links[frame.link_id]
-            link.frames_out += 1
+            ledger = link.ledger
+            ledger.frames_out += 1
             if fallback:
-                link.fallback_frames += 1
+                ledger.fallback_frames += 1
             if link.health is not health:
                 health = link.health
                 step = resolved.get(health)
@@ -969,7 +943,7 @@ class InferenceEngine:
             obs.emit("batch.rejected", t_s=self._now_s, n=len(frames))
         for frame in frames:
             link = self._link(frame.link_id)
-            link.policy_rejected += 1
+            link.ledger.policy_rejected += 1
             link.health = LinkHealth.DEGRADED
             if obs.enabled:
                 obs.frame_outcome(

@@ -6,12 +6,14 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.faults.bench import (
     ChaosScenario,
+    ChaosScenarioResult,
     FlakyPrimary,
     default_scenario_suite,
     run_chaos_bench,
 )
 from repro.faults.schedule import FaultWindow
 from repro.faults.stream import LinkOutage
+from repro.ledger import FrameLedger
 
 
 class ConstantEstimator:
@@ -56,6 +58,40 @@ class TestDefaultSuite:
     def test_rejects_empty_span(self):
         with pytest.raises(ConfigurationError):
             default_scenario_suite(10.0, 10.0)
+
+
+class TestScenarioResultReconciliation:
+    @staticmethod
+    def _result(n_submitted, n_answered, **counts):
+        ledger = FrameLedger()
+        for key, value in counts.items():
+            setattr(ledger, key, value)
+        return ChaosScenarioResult(
+            name="s", n_frames=n_submitted, n_submitted=n_submitted,
+            n_answered=n_answered, n_correct=0, n_fallback=0,
+            n_recovered=0, n_primary_failures=0, ledger=ledger.stats(),
+        )
+
+    def test_balanced_replay_has_nothing_unanswered(self):
+        result = self._result(
+            10, 6, frames_in=8, frames_out=6, rejected=1, quarantined=1,
+            stale_dropped=1, overflow=1,
+        )
+        assert result.n_unanswered == 0
+        assert (result.n_rejected, result.n_quarantined) == (1, 1)
+        assert (result.n_stale, result.n_overflow) == (1, 1)
+
+    def test_frame_lost_before_admission_is_unanswered(self):
+        # The engine counted 8 offered frames but the replay submitted 10:
+        # two vanished without reaching any ledger count.
+        result = self._result(
+            10, 6, frames_in=6, frames_out=6, rejected=1, quarantined=1,
+        )
+        assert result.n_unanswered == 2
+
+    def test_tallied_but_undelivered_answer_is_unanswered(self):
+        result = self._result(5, 4, frames_in=5, frames_out=5)
+        assert result.n_unanswered == 1
 
 
 class TestRunChaosBench:

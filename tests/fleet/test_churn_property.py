@@ -223,7 +223,7 @@ class ChurnMachine(RuleBasedStateMachine):
         assert not tenant_state.ring
         assert final_fused["frames_in"] == tenant_state.submitted
         assert final_fused["frames_out"] == tenant_state.served
-        assert final_fused["overflow_dropped"] == tenant_state.overflowed
+        assert final_fused["overflow"] == tenant_state.overflowed
         del self.oracle[tenant]
         self.detached.add(tenant)
         assert self.fused.lifecycle(tenant) is TenantLifecycle.DETACHED
@@ -241,7 +241,7 @@ class ChurnMachine(RuleBasedStateMachine):
             assert counters_fused == self.unfused.counters(tenant)
             assert counters_fused["frames_in"] == state.submitted
             assert counters_fused["frames_out"] == state.served
-            assert counters_fused["overflow_dropped"] == state.overflowed
+            assert counters_fused["overflow"] == state.overflowed
             for store in (self.fused_observers, self.unfused_observers):
                 ledger = store[tenant].ledger()
                 assert ledger["unaccounted"] == 0

@@ -123,8 +123,8 @@ class TestSubmitAndTick:
         for i in range(4):
             fleet.submit("room-a", float(i), _row(rng))
         fleet.submit("room-b", 0.0, _row(rng))
-        assert fleet.counters("room-a")["overflow_dropped"] == 2
-        assert fleet.counters("room-b")["overflow_dropped"] == 0
+        assert fleet.counters("room-a")["overflow"] == 2
+        assert fleet.counters("room-b")["overflow"] == 0
         assert len(fleet.tick()) == 3
 
 
@@ -168,6 +168,9 @@ class TestIsolation:
 
 
 class TestObserversAndMetrics:
+    def test_untraced_ledger_is_empty(self, fleet):
+        assert fleet.ledger("room-a") == {}
+
     def test_per_tenant_ledgers_reconcile(self):
         fleet = Fleet(
             ServeConfig(max_latency_ms=None), observer_factory=lambda: Observer()

@@ -9,8 +9,9 @@ flushed at shutdown:
                        + policy_rejected + stale + overflow
                        + rate_limited + deadline_expired + shed
 
-and the serving surface's own per-tenant tallies must agree with the
-observer's event-side ledger cause by cause.  Both serving surfaces
+and the serving surface's own per-tenant :class:`~repro.ledger.FrameLedger`
+must close and agree with the observer's event-side ledger cause by cause
+(:func:`repro.ledger.mismatches`).  Both serving surfaces
 (engine and fleet) are driven through the same randomized schedules.
 """
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro.fastpath.plan import InferencePlan
 from repro.fleet.service import Fleet
+from repro.ledger import OUTCOMES, mismatches, total, unaccounted
 from repro.nn.modules import Linear, ReLU, Sequential
 from repro.obs.observer import Observer
 from repro.overload.governor import OverloadPolicy, ServiceMode
@@ -28,17 +30,6 @@ from repro.serve.engine import InferenceEngine
 N_INPUTS = 8
 SEEDS = [0, 1, 2, 3, 4, 5]
 
-#: Every terminal cause in the ledger identity, ledger-key order.
-CAUSES = (
-    "rejected",
-    "quarantined",
-    "policy_rejected",
-    "stale",
-    "overflow",
-    "rate_limited",
-    "deadline_expired",
-    "shed",
-)
 
 
 def make_plan(rng):
@@ -92,7 +83,7 @@ def assert_ledger_balances(ledger):
     assert ledger["unaccounted"] == 0
     assert ledger["pending"] == 0
     total_in = ledger["submitted"] + ledger["fills"]
-    total_out = ledger["answered"] + sum(ledger[c] for c in CAUSES)
+    total_out = sum(ledger[outcome] for outcome in OUTCOMES)
     assert total_in == total_out
 
 
@@ -115,19 +106,9 @@ class TestEngineLedgerProperty:
         ledger = observer.ledger()
         assert_ledger_balances(ledger)
         # The engine-side tallies agree with the event ledger per cause.
-        stats = [engine.link_stats(link) for link in engine.link_ids]
-        assert sum(s["frames_out"] for s in stats) == ledger["answered"]
-        for cause, key in (
-            ("rejected", "rejected"),
-            ("quarantined", "quarantined"),
-            ("policy_rejected", "policy_rejected"),
-            ("stale", "stale_dropped"),
-            ("overflow", "overflow"),
-            ("rate_limited", "rate_limited"),
-            ("deadline_expired", "deadline_expired"),
-            ("shed", "overload_shed"),
-        ):
-            assert sum(s[key] for s in stats) == ledger[cause], cause
+        stats = total(engine.link_stats(link) for link in engine.link_ids)
+        assert unaccounted(stats) == 0
+        assert mismatches(stats, ledger) == {}
 
 
 class TestFleetLedgerProperty:
@@ -160,30 +141,8 @@ class TestFleetLedgerProperty:
             ledger = fleet.ledger(tenant)
             assert_ledger_balances(ledger)
             counters = fleet.counters(tenant)
-            assert counters["frames_out"] == ledger["answered"]
-            for cause, key in (
-                ("rejected", "rejected"),
-                ("quarantined", "quarantined"),
-                ("policy_rejected", "policy_rejected"),
-                ("stale", "stale_dropped"),
-                ("overflow", "overflow_dropped"),
-                ("rate_limited", "rate_limited"),
-                ("deadline_expired", "deadline_expired"),
-                ("shed", "overload_shed"),
-            ):
-                assert counters[key] == ledger[cause], (tenant, cause)
-
-    #: counters-key ↔ ledger-key pairs shared by the churn assertions.
-    CAUSE_KEYS = (
-        ("rejected", "rejected"),
-        ("quarantined", "quarantined"),
-        ("policy_rejected", "policy_rejected"),
-        ("stale_dropped", "stale"),
-        ("overflow_dropped", "overflow"),
-        ("rate_limited", "rate_limited"),
-        ("deadline_expired", "deadline_expired"),
-        ("overload_shed", "shed"),
-    )
+            assert unaccounted(counters) == 0
+            assert mismatches(counters, ledger) == {}, tenant
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_ledger_balances_under_churn(self, seed):
@@ -256,12 +215,8 @@ class TestFleetLedgerProperty:
                 assert report["drained"] == (
                     report["drain_served"] + report["drain_shed"]
                 )
-                ledger = observer.ledger()
-                assert report["frames_out"] == ledger["answered"]
-                for counters_key, ledger_key in self.CAUSE_KEYS:
-                    assert report[counters_key] == ledger[ledger_key], (
-                        tenant, counters_key,
-                    )
+                assert unaccounted(report) == 0
+                assert mismatches(report, observer.ledger()) == {}, tenant
 
     def test_churn_burst_during_governor_degradation_reconciles(self):
         """Detaching while the saturation governor is shedding still
@@ -322,6 +277,4 @@ class TestFleetLedgerProperty:
             for observer in incarnations:
                 ledger = observer.ledger()
                 assert_ledger_balances(ledger)
-        ledger_t1 = observers["t1"][0].ledger()
-        assert ledger_t1["shed"] == report["overload_shed"]
-        assert ledger_t1["answered"] == report["frames_out"]
+        assert mismatches(report, observers["t1"][0].ledger()) == {}

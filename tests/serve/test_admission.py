@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.guard import GuardPolicy, ReferenceStats
+from repro.ledger import unaccounted
 from repro.obs import EVENT_KINDS, Observer
 from repro.overload.governor import OverloadPolicy
 from repro.serve import InferenceEngine, ServeConfig
@@ -45,16 +46,6 @@ class Recording(RowMean):
     def predict_proba(self, x):
         self.batches.append((x, x.copy()))
         return super().predict_proba(x)
-
-
-def _dropped(stats):
-    return (
-        stats["stale_dropped"]
-        + stats["deadline_expired"]
-        + stats["overflow"]
-        + stats["overload_shed"]
-        + stats["policy_rejected"]
-    )
 
 
 def _serve(max_batch, max_latency_ms, schedule, width=5, data_seed=3):
@@ -301,7 +292,8 @@ def test_governor_escalation_keeps_the_configured_batch():
         served += len(batch)
     assert engine.registry.histogram("batch_size").values()[1:] == [16.0, 16.0]
     stats = engine.link_stats("a")
-    assert stats["frames_in"] == served + _dropped(stats) == 40
+    assert stats["frames_in"] == 40 and stats["frames_out"] == served
+    assert unaccounted(stats) == 0
 
 
 _PHASES = st.lists(
@@ -352,7 +344,7 @@ def test_multi_link_ledger_reconciles_per_link(phases, n_links, credit, data_see
     for link in engine.link_ids:
         stats = engine.link_stats(link)
         assert stats["frames_out"] == answered.get(link, 0)
-        assert stats["frames_in"] == answered.get(link, 0) + _dropped(stats)
+        assert unaccounted(stats) == 0
         assert engine.queue.link_depth(link) == 0
     assert engine.queue.depth == 0
 
@@ -396,7 +388,7 @@ def test_governed_ledger_reconciles_under_pumped_service(
 
     stats = engine.link_stats("link")
     assert stats["frames_out"] == answered
-    assert stats["frames_in"] == answered + _dropped(stats)
+    assert unaccounted(stats) == 0
     assert engine.queue.depth == 0
 
 
@@ -440,6 +432,6 @@ def test_guarded_ledger_reconciles_with_quarantine_and_repair(
 
     stats = engine.link_stats("link")
     assert stats["frames_out"] == answered
-    assert stats["frames_in"] + stats["repaired"] == answered + _dropped(stats)
+    assert unaccounted(stats) == 0
     assert stats["quarantined"] == len(engine.quarantine)
     assert engine.queue.depth == 0

@@ -10,6 +10,7 @@ from repro.config import TrainingConfig
 from repro.core.detector import OccupancyDetector
 from repro.data.streaming import StreamingDetector
 from repro.exceptions import ConfigurationError, ServingError
+from repro.ledger import unaccounted
 from repro.overload.governor import OverloadPolicy, ServiceMode
 from repro.serve.config import ServeConfig
 from repro.serve.engine import InferenceEngine
@@ -745,13 +746,6 @@ def test_ledger_reconciles_over_random_schedules(phases, bad_every, data_seed):
     answered += len(engine.flush())
 
     stats = engine.link_stats("link")
-    dropped = (
-        stats["stale_dropped"]
-        + stats["deadline_expired"]
-        + stats["overflow"]
-        + stats["overload_shed"]
-        + stats["policy_rejected"]
-    )
     assert stats["frames_out"] == answered
-    assert stats["frames_in"] + stats["repaired"] == answered + dropped
+    assert unaccounted(stats) == 0
     assert engine.queue.depth == 0
