@@ -3,17 +3,18 @@
 The paper reports: ~78 k trainable parameters (77,881 with typos; the
 exact architecture gives 74,369 for CSI-only input), a model size of
 15.18 KiB, 23.04 KiB RAM, 10.781 ms inference per sample, deployable on a
-Nucleo-L432KC.  The benchmark reproduces the resource accounting through
-the int8 quantization + footprint + cycle-model chain and measures the
-host-side inference latency.
+Nucleo-L432KC.  The benchmark reproduces the resource accounting from the
+served artifact itself — an int8 (per-channel) :class:`InferencePlan`
+through the footprint and cycle models — checks the C firmware generated
+from that plan against it, and measures the host-side inference latency.
 """
 
 import pytest
 
 from repro.core.model_zoo import build_paper_mlp, paper_layer_parameter_counts
 from repro.deploy.footprint import NUCLEO_L432KC, estimate_footprint
-from repro.deploy.quantize import quantize_model
 from repro.deploy.timing import cortex_m4_latency_ms, measure_inference_ms
+from repro.fastpath import InferencePlan
 
 from .conftest import print_table
 
@@ -24,8 +25,13 @@ def paper_model():
 
 
 @pytest.fixture(scope="module")
-def quantized(paper_model):
-    return quantize_model(paper_model)
+def float_plan(paper_model):
+    return InferencePlan.from_model(paper_model)
+
+
+@pytest.fixture(scope="module")
+def quantized(float_plan):
+    return float_plan.quantized("int8")
 
 
 class TestFootprint:
@@ -50,7 +56,7 @@ class TestFootprint:
         report = benchmark(lambda: estimate_footprint(quantized, NUCLEO_L432KC))
         m4_ms = cortex_m4_latency_ms(quantized)
         rows = [
-            {"quantity": "model size (KiB)", "paper": 15.18,
+            {"quantity": "parameter bytes (KiB)", "paper": 15.18,
              "measured (int8)": round(report.model_flash_kib, 2)},
             {"quantity": "RAM (KiB)", "paper": 23.04,
              "measured (int8)": round(report.model_ram_kib, 2)},
@@ -63,6 +69,9 @@ class TestFootprint:
         assert 10.0 < report.model_flash_kib < 200.0
         assert report.model_ram_kib < 23.04 * 4
         assert 0.1 < m4_ms < 50.0
+        # Per-channel int8: 74,112 codes + 513 scales + 513 float32 biases.
+        assert report.model_flash_bytes == 78_216
+        assert report.model_ram_bytes == 1_536
 
     def test_host_inference_latency(self, paper_model, benchmark):
         latency_ms = benchmark.pedantic(
@@ -75,16 +84,18 @@ class TestFootprint:
         # ~10x that.
         assert latency_ms < 100.0
 
-    def test_quantization_preserves_size_ratio(self, paper_model, quantized, benchmark):
+    def test_quantization_preserves_size_ratio(self, float_plan, quantized, benchmark):
         benchmark(lambda: estimate_footprint(quantized).model_flash_bytes)
-        float_report = estimate_footprint(paper_model)
+        float_report = estimate_footprint(float_plan)
         int8_report = estimate_footprint(quantized)
+        assert float_report.model_flash_bytes == 298_500
         assert int8_report.model_flash_bytes < float_report.model_flash_bytes / 3
+        assert int8_report.model_ram_bytes == float_report.model_ram_bytes
 
     def test_generated_firmware_matches_python(self, quantized, benchmark, tmp_path):
         # The shipped artifact is the tested artifact: generate the C
-        # inference program, compile it with the host compiler, run it and
-        # compare against the Python quantized model.
+        # inference program from the served int8 plan, compile it with the
+        # host compiler, run it and compare against ``plan.forward``.
         from repro.deploy.c_runtime import host_compiler, validate_against_python
 
         if host_compiler() is None:
@@ -95,7 +106,7 @@ class TestFootprint:
             iterations=1,
         )
         print_table(
-            "Firmware validation (C vs Python quantized model)",
+            "Firmware validation (C vs the int8 InferencePlan)",
             [{"quantity": "max |output delta|", "value": f"{deviation:.2e}"}],
         )
         assert deviation < 1e-3

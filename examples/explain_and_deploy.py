@@ -7,9 +7,11 @@ Covers the paper's remaining two threads:
    (64 CSI subcarriers + temperature + humidity) drive the "occupied"
    decision?  The paper finds the environment inputs near zero and the
    CSI low/high bands dominant.
-2. **Deployment** (Sections IV-B, VI) — quantize the trained network to
+2. **Deployment** (Sections IV-B, VI) — freeze the trained detector
+   (scaler included) into the plan that serves traffic, quantize it to
    int8, check it fits the Nucleo-L432KC (256 KiB flash / 64 KiB RAM),
-   model its Cortex-M4 inference latency and export a C header.
+   model its Cortex-M4 inference latency and export it as a C header that
+   takes raw features.
 
 Usage::
 
@@ -25,8 +27,8 @@ from repro.data.folds import make_paper_folds
 from repro.data.recording import CollectionCampaign
 from repro.deploy.export import export_c_header
 from repro.deploy.footprint import estimate_footprint
-from repro.deploy.quantize import quantize_model
 from repro.deploy.timing import cortex_m4_latency_ms, measure_inference_ms
+from repro.fastpath import freeze_detector
 
 
 def main() -> None:
@@ -61,7 +63,7 @@ def main() -> None:
 
     # --------------------------------------------------------- deployment
     print("\nQuantizing to int8 and checking the Nucleo-L432KC budget...")
-    quantized = quantize_model(detector.model)
+    quantized = freeze_detector(detector).quantized("int8")
     report = estimate_footprint(quantized)
     print(f"  {report.describe()}")
     print(f"  Cortex-M4 (80 MHz) modelled latency: "
@@ -73,10 +75,7 @@ def main() -> None:
     # Quantization accuracy cost on held-out data.
     fold = split.tests[-1]
     x_test = extract_features(fold.data, FeatureSet.CSI_ENV)
-    scaled = detector.scaler.transform(x_test)
-    float_pred = (detector._trainer.predict(scaled).ravel() > 0).astype(int)
-    int8_pred = (quantized.forward(scaled).ravel() > 0).astype(int)
-    agreement = float(np.mean(float_pred == int8_pred))
+    agreement = float(np.mean(detector.predict(x_test) == quantized.predict(x_test)))
     print(f"  float-vs-int8 prediction agreement on fold {fold.index}: "
           f"{100 * agreement:.2f} %")
 

@@ -13,7 +13,8 @@ The library is organised bottom-up:
   harness;
 * :mod:`repro.xai` — Grad-CAM feature importance (Figure 3);
 * :mod:`repro.analysis` — the Section V-A profiling pipeline;
-* :mod:`repro.deploy` — quantization and Nucleo-L432KC resource accounting;
+* :mod:`repro.deploy` — the served plan as C firmware, and Nucleo-L432KC
+  resource accounting;
 * :mod:`repro.serve` — the micro-batched multi-link inference engine;
 * :mod:`repro.faults` — seedable fault injection and the chaos-bench
   accuracy-under-fault harness.

@@ -51,8 +51,8 @@ from .data.folds import make_paper_folds
 from .data.io import load_npz, save_csv, save_npz
 from .data.recording import CollectionCampaign
 from .deploy.footprint import estimate_footprint
-from .deploy.quantize import quantize_model
 from .deploy.timing import cortex_m4_latency_ms
+from .fastpath.plan import InferencePlan
 
 #: Epilog appended to every subcommand that takes the common flags.
 COMMON_FLAGS_EPILOG = """\
@@ -183,11 +183,11 @@ def cmd_table5(args: argparse.Namespace) -> int:
 
 def cmd_footprint(args: argparse.Namespace) -> int:
     model = build_paper_mlp(args.inputs)
-    quantized = quantize_model(model)
-    report = estimate_footprint(quantized)
+    plan = InferencePlan.from_model(model, quantize="int8")
+    report = estimate_footprint(plan)
     print(f"parameters: {model.n_parameters():,}")
     print(report.describe())
-    print(f"Cortex-M4 latency model: {cortex_m4_latency_ms(quantized):.2f} ms/sample")
+    print(f"Cortex-M4 latency model: {cortex_m4_latency_ms(plan):.2f} ms/sample")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Flash/RAM footprint accounting against embedded targets.
 
-Checks a (quantized or float) model against a device budget the way a
-firmware engineer would before committing to a board: parameter storage in
-flash, activation working set plus runtime overhead in RAM.  Ships the
+Checks a frozen :class:`~repro.fastpath.plan.InferencePlan` (float32, int8
+or float16) against a device budget the way a firmware engineer would
+before committing to a board: parameter storage in flash, activation
+working set plus runtime overhead in RAM.  Ships the
 Nucleo-L432KC profile the paper deploys on (STM32L432KC: 256 KiB flash,
 64 KiB SRAM, 80 MHz Cortex-M4F).
 """
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import DeploymentError
-from ..nn.modules import Module
-from .quantize import QuantizedMLP
+from ..fastpath.plan import InferencePlan
 
 
 @dataclass(frozen=True)
@@ -89,31 +89,24 @@ class FootprintReport:
 
 
 def estimate_footprint(
-    model: QuantizedMLP | Module,
+    plan: InferencePlan,
     device: DeviceProfile = NUCLEO_L432KC,
     batch_buffer_rows: int = 1,
 ) -> FootprintReport:
-    """Account a model against a device.
+    """Account a plan against a device.
 
-    Quantized models store int8 weights; float models store float32 and
-    are reported as such (4x larger) so the benefit of quantization is
-    visible in the report pair.
+    Flash is the plan's stored artifact, :meth:`InferencePlan.parameter_bytes`
+    (int8 codes and per-channel scales, float16 or float32 weights, float32
+    biases and scaler statistics), so the int8/float32 report pair shows
+    the benefit of quantization.  RAM is the float32 double buffer of the
+    two widest activations, the input included, per buffered row — the
+    same for every storage mode, since every mode executes in float32.
+    Freeze a float model with ``InferencePlan.from_model(model)`` first.
     """
     if batch_buffer_rows < 1:
         raise DeploymentError("batch_buffer_rows must be >= 1")
-    if isinstance(model, QuantizedMLP):
-        flash = model.flash_bytes()
-        ram = model.working_ram_bytes() * batch_buffer_rows
-    else:
-        n_params = model.n_parameters()
-        if n_params == 0:
-            raise DeploymentError("model has no parameters")
-        flash = 4 * n_params
-        # Float path working set: the two widest activation buffers.
-        widths = sorted(
-            (p.data.shape[1] for _, p in model.named_parameters() if p.data.ndim == 2),
-            reverse=True,
-        )
-        widest_pair = sum(widths[:2]) if len(widths) >= 2 else widths[0] * 2
-        ram = 4 * widest_pair * batch_buffer_rows
-    return FootprintReport(device=device, model_flash_bytes=flash, model_ram_bytes=ram)
+    widths = [plan.n_inputs] + [s.out_features for s in plan.steps]
+    ram = 4 * sum(sorted(widths, reverse=True)[:2]) * batch_buffer_rows
+    return FootprintReport(
+        device=device, model_flash_bytes=plan.parameter_bytes(), model_ram_bytes=ram
+    )

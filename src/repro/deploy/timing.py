@@ -5,7 +5,7 @@ complementary reproductions:
 
 * :func:`cortex_m4_latency_ms` — an analytic cycle model of a CMSIS-NN
   style int8 GEMV loop on the 80 MHz M4F (MAC throughput, load/store and
-  loop overhead), evaluated for the model's layer widths;
+  loop overhead), evaluated for a plan's layer widths;
 * :func:`measure_inference_ms` — measured single-sample latency of the
   Python implementation on the host (reported alongside, never conflated).
 """
@@ -21,7 +21,6 @@ from ..fastpath.plan import InferencePlan
 from ..nn.modules import Module
 from ..nn.tensor import Tensor, no_grad
 from .footprint import NUCLEO_L432KC, DeviceProfile
-from .quantize import QuantizedMLP
 
 #: Effective cycles per int8 multiply-accumulate on an M4 with SMLAD-style
 #: dual-MAC plus load overhead (CMSIS-NN reports ~2 MACs / 3 cycles).
@@ -33,30 +32,29 @@ _CYCLES_PER_LAYER = 400.0
 
 
 def cortex_m4_latency_ms(
-    model: QuantizedMLP, device: DeviceProfile = NUCLEO_L432KC
+    plan: InferencePlan, device: DeviceProfile = NUCLEO_L432KC
 ) -> float:
-    """Analytic single-sample latency of the quantized model on the M4."""
+    """Analytic single-sample latency of the plan's layers on the M4."""
     cycles = 0.0
-    for layer in model.layers:
-        macs = layer.in_features * layer.out_features
+    for step in plan.steps:
+        macs = step.in_features * step.out_features
         cycles += macs * _CYCLES_PER_MAC
-        cycles += layer.out_features * _CYCLES_PER_NEURON
+        cycles += step.out_features * _CYCLES_PER_NEURON
         cycles += _CYCLES_PER_LAYER
     return 1e3 * cycles / device.clock_hz
 
 
 def measure_inference_ms(
-    model: Module | QuantizedMLP | InferencePlan,
+    model: Module | InferencePlan,
     n_inputs: int,
     n_repeats: int = 200,
     warmup: int = 20,
 ) -> float:
     """Median wall-clock single-sample inference time on the host [ms].
 
-    Accepts all three execution forms — the autograd :class:`Module`, the
-    int8 :class:`QuantizedMLP` and the frozen
-    :class:`~repro.fastpath.plan.InferencePlan` — so the tensor-path,
-    quantized and fastpath latencies print from one helper.
+    Accepts both execution forms — the autograd :class:`Module` and the
+    frozen :class:`~repro.fastpath.plan.InferencePlan`, quantized or not —
+    so the tensor-path and fastpath latencies print from one helper.
     """
     if n_repeats < 1 or warmup < 0:
         raise DeploymentError("invalid timing parameters")
@@ -64,9 +62,6 @@ def measure_inference_ms(
     x = rng.normal(size=(1, n_inputs))
 
     if isinstance(model, InferencePlan):
-        def run() -> None:
-            model.forward(x)
-    elif isinstance(model, QuantizedMLP):
         def run() -> None:
             model.forward(x)
     else:

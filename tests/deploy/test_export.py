@@ -3,17 +3,28 @@
 import numpy as np
 import pytest
 
+from repro.baselines.scaler import StandardScaler
 from repro.deploy.export import export_c_header
-from repro.deploy.quantize import quantize_model
 from repro.exceptions import DeploymentError
+from repro.fastpath import InferencePlan
 from repro.nn.modules import Linear, ReLU, Sequential
 
 
-def quantized(seed=0):
+def _model(seed=0, bias=True):
     rng = np.random.default_rng(seed)
-    return quantize_model(
-        Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 1, rng=rng))
-    )
+    return Sequential(Linear(4, 8, bias=bias, rng=rng), ReLU(), Linear(8, 1, rng=rng))
+
+
+def quantized(seed=0):
+    return InferencePlan.from_model(_model(seed), quantize="int8")
+
+
+def _array(text, name):
+    """Parse ``repro_<name>`` back out of a header: (C type, values)."""
+    line = next(l for l in text.splitlines() if f" repro_{name}[" in l)
+    ctype = line.split()[2]
+    body = line.split("{")[1].split("}")[0]
+    return ctype, np.array([float(v.rstrip("f")) for v in body.split(",")])
 
 
 class TestExport:
@@ -29,9 +40,10 @@ class TestExport:
     def test_weight_arrays_emitted(self, tmp_path):
         text = export_c_header(quantized(), tmp_path / "m.h").read_text()
         assert "static const int8_t repro_w0[32]" in text
+        assert "static const float repro_ws0[8]" in text
         assert "static const float repro_b0[8]" in text
-        assert "static const float repro_s0" in text
         assert "static const int8_t repro_w1[8]" in text
+        assert "static const float repro_ws1[1]" in text
 
     def test_layer_metadata(self, tmp_path):
         text = export_c_header(quantized(), tmp_path / "m.h").read_text()
@@ -41,10 +53,43 @@ class TestExport:
     def test_values_round_trip(self, tmp_path):
         q = quantized()
         text = export_c_header(q, tmp_path / "m.h").read_text()
-        line = next(l for l in text.splitlines() if "repro_w0" in l)
-        body = line.split("{")[1].split("}")[0]
-        values = np.array([int(v) for v in body.split(",")])
-        np.testing.assert_array_equal(values, q.layers[0].weight_q.ravel())
+        arrays, _ = q.payload()
+        for name in ("w0", "ws0", "b0", "w1", "ws1", "b1"):
+            _, values = _array(text, name)
+            np.testing.assert_array_equal(
+                values.astype(np.float32), arrays[name].ravel().astype(np.float32)
+            )
+
+    @pytest.mark.parametrize("mode", [None, "float16"])
+    def test_float_plans_emit_float_weights(self, tmp_path, mode):
+        plan = InferencePlan.from_model(_model(), quantize=mode)
+        text = export_c_header(plan, tmp_path / "m.h").read_text()
+        assert "int8_t" not in text and "repro_ws" not in text
+        ctype, values = _array(text, "w0")
+        assert ctype == "float"
+        # float16 -> float32 is exact, so the header holds what executes.
+        np.testing.assert_array_equal(
+            values.astype(np.float32), plan.steps[0].weight.ravel()
+        )
+
+    def test_bias_emitted_only_where_a_step_has_one(self, tmp_path):
+        plan = InferencePlan.from_model(_model(bias=False))
+        text = export_c_header(plan, tmp_path / "m.h").read_text()
+        assert "repro_b0" not in text
+        assert "static const float repro_b1[1]" in text
+
+    def test_scaler_statistics_emitted(self, tmp_path):
+        assert "repro_input_mean" not in export_c_header(
+            quantized(), tmp_path / "bare.h"
+        ).read_text()
+        scaler = StandardScaler().fit(np.random.default_rng(0).normal(3.0, 2.0, (30, 4)))
+        plan = InferencePlan.from_model(_model(), scaler=scaler, quantize="int8")
+        text = export_c_header(plan, tmp_path / "m.h").read_text()
+        for name in ("input_mean", "input_scale"):
+            _, values = _array(text, name)
+            np.testing.assert_array_equal(
+                values.astype(np.float32), getattr(plan, name)
+            )
 
     def test_custom_guard(self, tmp_path):
         text = export_c_header(quantized(), tmp_path / "m.h", guard="MY_NET_H").read_text()

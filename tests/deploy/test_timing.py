@@ -4,9 +4,13 @@ import pytest
 
 from repro.core.model_zoo import build_paper_mlp
 from repro.deploy.footprint import DeviceProfile, NUCLEO_L432KC
-from repro.deploy.quantize import quantize_model
 from repro.deploy.timing import cortex_m4_latency_ms, measure_inference_ms
 from repro.exceptions import DeploymentError
+from repro.fastpath import InferencePlan
+
+
+def quantized(model):
+    return InferencePlan.from_model(model, quantize="int8")
 
 
 class TestCycleModel:
@@ -14,17 +18,24 @@ class TestCycleModel:
         # The paper reports 10.781 ms per sample on the full feature set.
         # The M4 cycle model for the same architecture should land in the
         # same order of magnitude (single-digit milliseconds).
-        q = quantize_model(build_paper_mlp(66))
+        q = quantized(build_paper_mlp(66))
         latency = cortex_m4_latency_ms(q)
         assert 0.5 < latency < 30.0
+        assert latency == pytest.approx(1.66, abs=0.005)
+
+    def test_storage_mode_does_not_change_the_cycle_model(self):
+        model = build_paper_mlp(66)
+        assert cortex_m4_latency_ms(InferencePlan.from_model(model)) == (
+            cortex_m4_latency_ms(quantized(model))
+        )
 
     def test_latency_scales_with_width(self):
-        small = quantize_model(build_paper_mlp(64, hidden_sizes=(32,)))
-        large = quantize_model(build_paper_mlp(64, hidden_sizes=(512, 512)))
+        small = quantized(build_paper_mlp(64, hidden_sizes=(32,)))
+        large = quantized(build_paper_mlp(64, hidden_sizes=(512, 512)))
         assert cortex_m4_latency_ms(large) > 10 * cortex_m4_latency_ms(small)
 
     def test_faster_clock_lowers_latency(self):
-        q = quantize_model(build_paper_mlp(64))
+        q = quantized(build_paper_mlp(64))
         fast_device = DeviceProfile("fast", 2**20, 2**18, 160e6)
         assert cortex_m4_latency_ms(q, fast_device) == pytest.approx(
             cortex_m4_latency_ms(q, NUCLEO_L432KC) / 2
@@ -38,7 +49,7 @@ class TestHostMeasurement:
         assert 0.0 < latency < 100.0
 
     def test_measures_quantized_model(self):
-        q = quantize_model(build_paper_mlp(8, hidden_sizes=(16,)))
+        q = quantized(build_paper_mlp(8, hidden_sizes=(16,)))
         latency = measure_inference_ms(q, 8, n_repeats=20, warmup=2)
         assert 0.0 < latency < 100.0
 

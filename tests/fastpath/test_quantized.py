@@ -17,12 +17,14 @@ serialized weights.  Consequences verified here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.scaler import StandardScaler
 from repro.core.model_zoo import build_paper_mlp
 from repro.deploy.export import export_plan, load_plan
 from repro.exceptions import ConfigurationError
 from repro.fastpath import InferencePlan
+from repro.nn.modules import Linear, Sequential
 from repro.fastpath.bench import QUANT_DELTA_GATES, QUANT_FLIP_GATE, PLAN_BYTES_TARGET
 
 
@@ -96,6 +98,40 @@ class TestConstruction:
     def test_repr_names_the_mode(self):
         plan, _ = _plans()
         assert "int8" in repr(plan.quantized("int8"))
+
+
+class TestInt8Codes:
+    """The stored int8 codes and per-channel scales, read via ``payload()``."""
+
+    @staticmethod
+    def _store(weight):
+        layer = Linear(*weight.shape, rng=np.random.default_rng(0))
+        layer.weight.data = weight
+        arrays, _ = InferencePlan.from_model(Sequential(layer), quantize="int8").payload()
+        return arrays["w0"], arrays["ws0"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.01, 100.0))
+    def test_property_quantization_error_bounded_by_half_lsb(self, magnitude):
+        # Columns of very different ranges, so a per-tensor scale would
+        # break the bound on the small ones.
+        rng = np.random.default_rng(0)
+        column_range = np.array([1.0, 10.0, 0.1, 3.0])
+        weight = rng.normal(size=(4, 4)) * column_range * magnitude
+        codes, scales = self._store(weight)
+        w32 = weight.astype(np.float32)
+        error = np.abs(codes.astype(np.float32) * scales - w32)
+        # Half an LSB of the column's own scale, plus float32 rounding.
+        bound = scales / 2 + 2 * np.finfo(np.float32).eps * np.abs(w32)
+        assert np.all(error <= bound)
+
+    def test_all_zero_column_gets_codes_zero_and_scale_one(self):
+        weight = np.random.default_rng(0).normal(size=(3, 3))
+        weight[:, 1] = 0.0
+        codes, scales = self._store(weight)
+        assert np.all(codes[:, 1] == 0)
+        assert scales[1] == 1.0
+        assert np.all(np.abs(codes[:, [0, 2]]).max(axis=0) == 127)
 
 
 class TestRoundTrip:

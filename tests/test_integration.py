@@ -11,7 +11,7 @@ from repro.core.detector import OccupancyDetector
 from repro.core.features import FeatureSet, extract_features
 from repro.deploy.export import export_c_header
 from repro.deploy.footprint import estimate_footprint
-from repro.deploy.quantize import quantize_model
+from repro.fastpath import freeze_detector
 
 
 FAST = TrainingConfig(epochs=4, hidden_sizes=(32, 32), batch_size=128)
@@ -53,19 +53,18 @@ class TestEndToEnd:
 
     def test_deploy_chain(self, pipeline, tmp_path):
         detector, split = pipeline
-        quantized = quantize_model(detector.model)
+        # The plan carries the fitted scaler: raw features in, no
+        # hand-written standardisation on either side.
+        quantized = freeze_detector(detector).quantized("int8")
         report = estimate_footprint(quantized)
         assert report.fits
 
         header = export_c_header(quantized, tmp_path / "model.h")
-        assert header.exists()
+        assert "repro_input_mean" in header.read_text()
 
         # Quantized predictions agree with the float model.
         x = extract_features(split.tests[0].data, FeatureSet.CSI)[:200]
-        scaled = detector.scaler.transform(x)
-        float_logits = detector._trainer.predict(scaled).ravel()
-        quant_logits = quantized.forward(scaled).ravel()
-        agreement = np.mean((float_logits > 0) == (quant_logits > 0))
+        agreement = np.mean(detector.predict(x) == quantized.predict(x))
         assert agreement > 0.97
 
     def test_dataset_save_load_retrain(self, day_dataset, tmp_path):
